@@ -40,4 +40,4 @@ pub use node::{
 pub use replica::ReplicatedObject;
 pub use sim::{NetConfig, NetStats, Sim, SimTransport, TraceEntry};
 pub use tcp::{MaskingStats, TcpConfig, TcpTransport};
-pub use transport::{dispatch, dispatch_with, Cluster, Transport, TransportEvent};
+pub use transport::{dispatch, Cluster, Transport, TransportEvent};

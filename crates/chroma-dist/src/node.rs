@@ -2,13 +2,15 @@
 //! machines, at-most-once RPC server, replica state.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
-use chroma_store::{codec, DurableLog, StableStore, StoreBytes};
+use chroma_store::{codec, Change, StableStorage, StableStore, StoreBytes};
 use serde::{Deserialize, Serialize};
 
 use crate::msg::{Effect, Message, TimerTag, TxnId, Write};
+use crate::wire;
 
 /// How often (simulated µs) protocol timers re-fire.
 pub const RETRY_INTERVAL: u64 = 50_000;
@@ -18,20 +20,18 @@ pub const MAX_PREPARE_ATTEMPTS: u32 = 5;
 /// durable commit record still answers queries afterwards).
 pub const MAX_DECISION_ATTEMPTS: u32 = 50;
 
-/// Durable records for the presumed-abort two-phase commit.
+/// Durable records for the presumed-abort two-phase commit. A node
+/// keeps each as one object of its stable store, at an id derived from
+/// the transaction and the node's role in it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TpcRecord {
-    /// Coordinator decided commit (the commit point).
+    /// Coordinator decided commit (the commit point). Deleted once
+    /// every participant acknowledged the decision.
     CoordCommit {
         /// The transaction.
         txn: TxnId,
         /// The participants that must learn the decision.
         participants: Vec<NodeId>,
-    },
-    /// Every participant acknowledged; the record can be forgotten.
-    CoordEnd {
-        /// The transaction.
-        txn: TxnId,
     },
     /// Participant prepared: it must find out the decision.
     Prepared {
@@ -42,11 +42,57 @@ pub enum TpcRecord {
         /// The writes to install on commit.
         writes: Vec<Write>,
     },
-    /// Participant processed the decision; obligation resolved.
+    /// Participant processed the decision; obligation resolved. Replaces
+    /// the `Prepared` record and is kept, fixed-size, so a stale
+    /// duplicate `Prepare` is recognised.
     ParticipantDone {
         /// The transaction.
         txn: TxnId,
     },
+}
+
+impl TpcRecord {
+    /// The change that stores this record at its place in the node's
+    /// store.
+    fn stored(&self) -> Change {
+        let (txn, role) = match self {
+            TpcRecord::CoordCommit { txn, .. } => (*txn, Role::Coordinator),
+            TpcRecord::Prepared { txn, .. } | TpcRecord::ParticipantDone { txn } => {
+                (*txn, Role::Participant)
+            }
+        };
+        (role.record(txn), Some(wire::encode_record(self).into()))
+    }
+}
+
+/// A node's role in a transaction; selects where its record lives.
+#[derive(Clone, Copy, Debug)]
+enum Role {
+    Coordinator = 0,
+    Participant = 1,
+}
+
+/// 2PC records live at and above this object id, far above any object
+/// an application or a co-hosted `Runtime` writes.
+const RECORD_BASE: u64 = 1 << 62;
+/// Each role's records span `1 << ROLE_SHIFT` ids, one per transaction.
+const ROLE_SHIFT: u32 = 60;
+
+impl Role {
+    /// The ids of every record of this role.
+    fn range(self) -> Range<u64> {
+        let low = RECORD_BASE | (self as u64) << ROLE_SHIFT;
+        low..low + (1 << ROLE_SHIFT)
+    }
+
+    /// Where this role's record for `txn` lives.
+    fn record(self, txn: TxnId) -> ObjectId {
+        assert!(
+            txn.0 < 1 << ROLE_SHIFT,
+            "{txn:?} exceeds the 2PC record range"
+        );
+        ObjectId::from_raw(self.range().start | txn.0)
+    }
 }
 
 /// Volatile coordinator state for an in-flight transaction.
@@ -62,13 +108,6 @@ struct CoordState {
     /// Simulated time the transaction began (for the decide latency
     /// histogram).
     begin_at_us: u64,
-}
-
-/// Volatile participant state.
-#[derive(Clone, Debug)]
-struct PartState {
-    coordinator: NodeId,
-    done: bool,
 }
 
 /// An operation of the built-in RPC key-value service (used to exercise
@@ -103,25 +142,35 @@ struct RpcCall {
     attempts: u32,
 }
 
-/// A simulated fail-silent workstation.
+/// A fail-silent workstation: a simulated one, or one process of a
+/// real cluster.
 ///
 /// Everything in the *stable* section survives [`Node::crash`];
 /// everything volatile is lost, and [`Node::recover`] rebuilds
-/// obligations from the durable logs — re-sending decisions for
-/// committed-but-unacknowledged transactions and querying coordinators
-/// for prepared-but-undecided ones.
+/// obligations from the 2PC records in the store — re-sending
+/// decisions for committed-but-unacknowledged transactions and querying
+/// coordinators for prepared-but-undecided ones.
+///
+/// The store is the simulator's [`StableStore`] by default; a process
+/// host runs the node on a [`DiskStore`](chroma_store::DiskStore)
+/// instead. Either way each handler commits at most one batch, holding
+/// only what it changed, before it returns its effects — so the 2PC
+/// commit point and a participant's prepare record are durable before
+/// any message that depends on them can leave.
 #[derive(Debug)]
-pub struct Node {
+pub struct Node<S = StableStore> {
     id: NodeId,
     /// `false` while crashed: the simulation drops deliveries.
     pub up: bool,
     // ---- stable ----
-    /// Installed object states (intentions-list commit inside).
-    pub store: StableStore,
-    tpc_log: DurableLog<TpcRecord>,
+    /// Installed object states and the 2PC records.
+    pub store: S,
     // ---- volatile ----
     coord: HashMap<TxnId, CoordState>,
-    part: HashMap<TxnId, PartState>,
+    /// Commit records whose every participant acknowledged: deleted in
+    /// the node's next batch. Presumed abort makes losing the delete
+    /// harmless — recovery re-pushes a decision already acknowledged.
+    forget: Vec<TxnId>,
     /// Transactions this node will refuse to prepare (fault injection).
     pub veto: HashSet<TxnId>,
     rpc_seen: HashMap<(NodeId, u64), StoreBytes>,
@@ -140,16 +189,35 @@ pub struct Node {
 }
 
 impl Node {
-    /// Creates an up, empty node.
+    /// Creates an up, empty node on a fresh simulated stable store.
     #[must_use]
     pub fn new(id: NodeId) -> Self {
+        Node::with_store(id, StableStore::new())
+    }
+
+    /// Starts building a node, mirroring `Runtime::builder()`: identity
+    /// and observability can come from a [`Transport`], and the stable
+    /// store can be a [`DiskStore`](chroma_store::DiskStore).
+    ///
+    /// [`Transport`]: crate::Transport
+    #[must_use]
+    pub fn builder() -> NodeBuilder {
+        NodeBuilder {
+            id: None,
+            obs: None,
+            store: StableStore::new(),
+        }
+    }
+}
+
+impl<S: StableStorage> Node<S> {
+    fn with_store(id: NodeId, store: S) -> Self {
         Node {
             id,
             up: true,
-            store: StableStore::new(),
-            tpc_log: DurableLog::new(),
+            store,
             coord: HashMap::new(),
-            part: HashMap::new(),
+            forget: Vec::new(),
             veto: HashSet::new(),
             rpc_seen: HashMap::new(),
             rpc_calls: HashMap::new(),
@@ -159,16 +227,6 @@ impl Node {
             pull_pending: HashMap::new(),
             obs: ObsCell::new(),
         }
-    }
-
-    /// Starts building a node, mirroring `Runtime::builder()`: identity
-    /// and observability can come from a [`Transport`], and durable
-    /// state can be restored from a [`DiskStore`].
-    ///
-    /// [`Transport`]: crate::Transport
-    #[must_use]
-    pub fn builder() -> NodeBuilder<'static> {
-        NodeBuilder::default()
     }
 
     /// The node's current observability handle (already bound to its
@@ -183,27 +241,87 @@ impl Node {
         self.id
     }
 
+    // ------------------------------------------------------------------
+    // Stable storage
+    // ------------------------------------------------------------------
+
+    /// A node whose stable storage fails cannot keep its promises: it
+    /// stops (fail-silent).
+    fn storage_failed(&self, error: &chroma_store::DiskError) -> ! {
+        panic!("node {}: stable storage failed: {error}", self.id)
+    }
+
+    fn load(&self, object: ObjectId) -> Option<StoreBytes> {
+        self.store
+            .load(object)
+            .unwrap_or_else(|e| self.storage_failed(&e))
+    }
+
+    /// This node's 2PC record for `txn` in `role`, if any.
+    fn record(&self, txn: TxnId, role: Role) -> Option<TpcRecord> {
+        self.decode(role.record(txn))
+    }
+
+    fn decode(&self, object: ObjectId) -> Option<TpcRecord> {
+        let bytes = self.load(object)?;
+        Some(
+            wire::decode_record(&bytes).unwrap_or_else(|e| {
+                panic!("node {}: unreadable 2PC record {object}: {e}", self.id)
+            }),
+        )
+    }
+
+    /// Commits `changes` as one batch, together with the deletes of any
+    /// forgotten commit records.
+    fn commit(&mut self, mut changes: Vec<Change>) {
+        let forgotten = std::mem::take(&mut self.forget);
+        changes.extend(
+            forgotten
+                .iter()
+                .map(|&txn| (Role::Coordinator.record(txn), None)),
+        );
+        if changes.is_empty() {
+            return;
+        }
+        if let Err(e) = self.store.commit(changes) {
+            self.storage_failed(&e);
+        }
+        for txn in forgotten {
+            self.obs().emit(EventKind::TpcForget {
+                node: self.id,
+                txn: txn.0,
+            });
+        }
+    }
+
+    /// Makes pending deletes of forgotten commit records durable. A
+    /// process host calls this before a clean exit; handlers otherwise
+    /// carry the deletes in their own next batch.
+    pub fn flush(&mut self) {
+        self.commit(Vec::new());
+    }
+
     /// Returns this node's record of the decision for `txn`, if it was
     /// the coordinator: `Some(true)` commit, `Some(false)` abort,
-    /// `None` undecided/unknown.
+    /// `None` undecided/unknown — including a commit whose record the
+    /// coordinator already deleted after every participant acknowledged
+    /// it (presumed abort).
     #[must_use]
     pub fn coordinator_outcome(&self, txn: TxnId) -> Option<bool> {
-        if let Some(state) = self.coord.get(&txn) {
-            if let Some(decided) = state.decided {
-                return Some(decided);
-            }
+        if let Some(decided) = self.coord.get(&txn).and_then(|state| state.decided) {
+            return Some(decided);
         }
-        // Fall back to the durable log (post-crash).
-        let committed = self
-            .tpc_log
-            .entries()
-            .iter()
-            .any(|r| matches!(r, TpcRecord::CoordCommit { txn: t, .. } if *t == txn));
-        if committed {
-            Some(true)
-        } else {
-            None
-        }
+        self.committed(txn).then_some(true)
+    }
+
+    /// Whether this node, as coordinator, still holds the commit record
+    /// for `txn` (durably, or with its delete not yet committed).
+    fn committed(&self, txn: TxnId) -> bool {
+        self.forget.contains(&txn)
+            || matches!(
+                self.record(txn, Role::Coordinator),
+                Some(TpcRecord::CoordCommit { .. })
+            )
     }
 
     /// Returns `true` while this node, as coordinator, still holds
@@ -215,41 +333,25 @@ impl Node {
         self.coord.contains_key(&txn)
     }
 
-    /// Returns `true` if this node, as a participant, installed `txn`'s
-    /// writes.
+    /// Returns `true` if this node, as a participant, has processed the
+    /// decision for `txn` — its obligation is resolved. Whether that
+    /// installed anything depends on the decision; check the store.
     #[must_use]
     pub fn installed(&self, txn: TxnId) -> bool {
-        let mut prepared = false;
-        let mut done = false;
-        for record in self.tpc_log.entries() {
-            match record {
-                TpcRecord::Prepared { txn: t, .. } if t == txn => prepared = true,
-                TpcRecord::ParticipantDone { txn: t } if t == txn => done = true,
-                _ => {}
-            }
-        }
-        // `Prepared` + `Done` means the decision was processed; whether
-        // it installed depends on the decision — check the store via
-        // the writes. Simplest reliable signal: done with commit means
-        // the store contains the written states; tests check the store
-        // directly. Here we report "obligation resolved".
-        prepared && done
+        matches!(
+            self.record(txn, Role::Participant),
+            Some(TpcRecord::ParticipantDone { .. })
+        )
     }
 
     /// Returns `true` if the participant has a prepared-but-unresolved
     /// obligation for `txn`.
     #[must_use]
     pub fn in_doubt(&self, txn: TxnId) -> bool {
-        let mut prepared = false;
-        let mut done = false;
-        for record in self.tpc_log.entries() {
-            match record {
-                TpcRecord::Prepared { txn: t, .. } if t == txn => prepared = true,
-                TpcRecord::ParticipantDone { txn: t } if t == txn => done = true,
-                _ => {}
-            }
-        }
-        prepared && !done
+        matches!(
+            self.record(txn, Role::Participant),
+            Some(TpcRecord::Prepared { .. })
+        )
     }
 
     // ------------------------------------------------------------------
@@ -306,17 +408,17 @@ impl Node {
             return Vec::new();
         }
         state.decided = Some(commit);
-        let participants = state.participants.len() as u64;
+        let participants = state.participants.clone();
         let begun = state.begin_at_us;
         if commit {
             // The commit point: durable before any Decision leaves.
-            self.tpc_log.append(TpcRecord::CoordCommit {
+            let record = TpcRecord::CoordCommit {
                 txn,
-                participants: state.participants.clone(),
-            });
+                participants: participants.clone(),
+            };
+            self.commit(vec![record.stored()]);
         }
-        let mut effects: Vec<Effect> = state
-            .participants
+        let mut effects: Vec<Effect> = participants
             .iter()
             .map(|&to| Effect::Send {
                 to,
@@ -331,7 +433,7 @@ impl Node {
             node: self.id,
             txn: txn.0,
             commit,
-            participants,
+            participants: participants.len() as u64,
         });
         self.obs()
             .observe("dist.decide_us", self.obs().now_us().saturating_sub(begun));
@@ -356,17 +458,22 @@ impl Node {
     }
 
     fn on_ack(&mut self, from: NodeId, txn: TxnId) -> Vec<Effect> {
-        let finished = {
-            let Some(state) = self.coord.get_mut(&txn) else {
-                return Vec::new();
-            };
-            state.acked.insert(from);
-            state.decided.is_some() && state.acked.len() == state.participants.len()
+        let Some(state) = self.coord.get_mut(&txn) else {
+            return Vec::new();
         };
+        state.acked.insert(from);
+        let finished = state.decided.is_some() && state.acked.len() == state.participants.len();
+        self.obs().emit(EventKind::TpcAck {
+            node: self.id,
+            from,
+            txn: txn.0,
+        });
         if finished {
             let state = self.coord.remove(&txn).expect("state present");
             if state.decided == Some(true) {
-                self.tpc_log.append(TpcRecord::CoordEnd { txn });
+                // Every participant knows: the commit record may go,
+                // with whatever this node commits next.
+                self.forget.push(txn);
             }
         }
         Vec::new()
@@ -375,7 +482,7 @@ impl Node {
     fn on_decision_query(&mut self, from: NodeId, txn: TxnId) -> Vec<Effect> {
         // A live, undecided coordinator stays silent (the participant
         // will ask again); otherwise answer from volatile state or the
-        // durable log — no record means presumed abort.
+        // commit record — no record means presumed abort.
         if let Some(state) = self.coord.get(&txn) {
             match state.decided {
                 None => return Vec::new(),
@@ -387,16 +494,11 @@ impl Node {
                 }
             }
         }
-        let committed = self
-            .tpc_log
-            .entries()
-            .iter()
-            .any(|r| matches!(r, TpcRecord::CoordCommit { txn: t, .. } if *t == txn));
         vec![Effect::Send {
             to: from,
             msg: Message::Decision {
                 txn,
-                commit: committed,
+                commit: self.committed(txn),
             },
         }]
     }
@@ -408,28 +510,20 @@ impl Node {
     fn on_prepare(&mut self, txn: TxnId, writes: Vec<Write>, coordinator: NodeId) -> Vec<Effect> {
         // Deduplicate: already done → ignore; already prepared →
         // re-vote.
-        let mut prepared = false;
-        let mut done = false;
-        for record in self.tpc_log.entries() {
-            match record {
-                TpcRecord::Prepared { txn: t, .. } if t == txn => prepared = true,
-                TpcRecord::ParticipantDone { txn: t } if t == txn => done = true,
-                _ => {}
+        match self.record(txn, Role::Participant) {
+            Some(TpcRecord::ParticipantDone { .. }) => return Vec::new(),
+            Some(TpcRecord::Prepared { .. }) => {
+                self.obs().emit(EventKind::TpcVote {
+                    node: self.id,
+                    txn: txn.0,
+                    yes: true,
+                });
+                return vec![Effect::Send {
+                    to: coordinator,
+                    msg: Message::VoteYes { txn },
+                }];
             }
-        }
-        if done {
-            return Vec::new();
-        }
-        if prepared {
-            self.obs().emit(EventKind::TpcVote {
-                node: self.id,
-                txn: txn.0,
-                yes: true,
-            });
-            return vec![Effect::Send {
-                to: coordinator,
-                msg: Message::VoteYes { txn },
-            }];
+            _ => {}
         }
         if self.veto.contains(&txn) {
             self.obs().emit(EventKind::TpcVote {
@@ -442,11 +536,12 @@ impl Node {
                 msg: Message::VoteNo { txn },
             }];
         }
-        self.tpc_log.append(TpcRecord::Prepared {
+        let record = TpcRecord::Prepared {
             txn,
             coordinator,
             writes,
-        });
+        };
+        self.commit(vec![record.stored()]);
         self.obs().emit(EventKind::TpcPrepare {
             node: self.id,
             txn: txn.0,
@@ -456,13 +551,6 @@ impl Node {
             txn: txn.0,
             yes: true,
         });
-        self.part.insert(
-            txn,
-            PartState {
-                coordinator,
-                done: false,
-            },
-        );
         vec![
             Effect::Send {
                 to: coordinator,
@@ -476,60 +564,44 @@ impl Node {
     }
 
     fn on_decision(&mut self, from: NodeId, txn: TxnId, commit: bool) -> Vec<Effect> {
-        let mut prepared_writes: Option<Vec<Write>> = None;
-        let mut done = false;
-        for record in self.tpc_log.entries() {
-            match record {
-                TpcRecord::Prepared { txn: t, writes, .. } if t == txn => {
-                    prepared_writes = Some(writes)
+        let record = self.record(txn, Role::Participant);
+        if !matches!(record, Some(TpcRecord::ParticipantDone { .. })) {
+            // One batch: the writes, and the done marker in place of
+            // the prepare record.
+            let mut changes: Vec<Change> = Vec::new();
+            let mut installed: Vec<(ObjectId, u64)> = Vec::new();
+            if let (true, Some(TpcRecord::Prepared { writes, .. })) = (commit, record) {
+                for w in writes {
+                    if self.replica_peers.contains_key(&w.object) {
+                        if let Ok((version, _)) = codec::from_bytes::<(u64, Vec<u8>)>(&w.state) {
+                            let local = self.read_versioned(w.object).map_or(0, |(v, _)| v);
+                            if version < local {
+                                // A decision that resolved only after
+                                // this replica caught up past it:
+                                // installing would roll the copy back
+                                // (replica divergence).
+                                continue;
+                            }
+                            installed.push((w.object, version));
+                        }
+                    }
+                    changes.push((w.object, Some(w.state)));
                 }
-                TpcRecord::ParticipantDone { txn: t } if t == txn => done = true,
-                _ => {}
             }
-        }
-        if !done {
+            changes.push(TpcRecord::ParticipantDone { txn }.stored());
+            self.commit(changes);
             self.obs().emit(EventKind::TpcResolve {
                 node: self.id,
                 txn: txn.0,
                 commit,
             });
-            if commit {
-                if let Some(writes) = prepared_writes {
-                    let mut updates: Vec<(ObjectId, StoreBytes)> = Vec::new();
-                    let mut installed: Vec<(ObjectId, u64)> = Vec::new();
-                    for w in writes {
-                        if self.replica_peers.contains_key(&w.object) {
-                            if let Ok((version, _)) = codec::from_bytes::<(u64, Vec<u8>)>(&w.state)
-                            {
-                                let local = self.read_versioned(w.object).map_or(0, |(v, _)| v);
-                                if version < local {
-                                    // A decision that resolved only after
-                                    // this replica caught up past it:
-                                    // installing would roll the copy back
-                                    // (replica divergence).
-                                    continue;
-                                }
-                                installed.push((w.object, version));
-                            }
-                        }
-                        updates.push((w.object, w.state));
-                    }
-                    if !updates.is_empty() {
-                        self.store.commit_batch(updates);
-                    }
-                    for (object, version) in installed {
-                        self.obs().emit(EventKind::ReplicaInstall {
-                            node: self.id,
-                            object,
-                            version,
-                        });
-                    }
-                }
+            for (object, version) in installed {
+                self.obs().emit(EventKind::ReplicaInstall {
+                    node: self.id,
+                    object,
+                    version,
+                });
             }
-            if let Some(state) = self.part.get_mut(&txn) {
-                state.done = true;
-            }
-            self.tpc_log.append(TpcRecord::ParticipantDone { txn });
         }
         vec![Effect::Send {
             to: from,
@@ -592,12 +664,14 @@ impl Node {
         }
         let result = match codec::from_bytes::<RpcOp>(body) {
             Ok(RpcOp::Put(raw, state)) => {
-                self.store
-                    .commit_batch(vec![(ObjectId::from_raw(raw), StoreBytes::from(state))]);
+                self.commit(vec![(
+                    ObjectId::from_raw(raw),
+                    Some(StoreBytes::from(state)),
+                )]);
                 RpcResult::Done
             }
             Ok(RpcOp::Get(raw)) => {
-                RpcResult::Value(self.store.read(ObjectId::from_raw(raw)).map(|b| b.to_vec()))
+                RpcResult::Value(self.load(ObjectId::from_raw(raw)).map(|b| b.to_vec()))
             }
             Ok(RpcOp::Ping) | Err(_) => RpcResult::Pong,
         };
@@ -701,7 +775,7 @@ impl Node {
     /// Reads a replicated object's `(version, state)` from the store.
     #[must_use]
     pub fn read_versioned(&self, object: ObjectId) -> Option<(u64, StoreBytes)> {
-        let bytes = self.store.read(object)?;
+        let bytes = self.load(object)?;
         let (version, state): (u64, Vec<u8>) = codec::from_bytes(&bytes).ok()?;
         Some((version, StoreBytes::from(state)))
     }
@@ -709,8 +783,7 @@ impl Node {
     /// Writes a replicated object's `(version, state)` to the store.
     pub fn write_versioned(&mut self, object: ObjectId, version: u64, state: &[u8]) {
         let bytes = codec::to_bytes(&(version, state.to_vec())).expect("versioned encodes");
-        self.store
-            .commit_batch(vec![(object, StoreBytes::from(bytes))]);
+        self.commit(vec![(object, Some(StoreBytes::from(bytes)))]);
         self.obs().emit(EventKind::ReplicaInstall {
             node: self.id,
             object,
@@ -819,20 +892,9 @@ impl Node {
                 effects
             }
             TimerTag::QueryDecision(txn) => {
-                if !self.in_doubt(txn) {
-                    return Vec::new();
-                }
-                let coordinator = self.part.get(&txn).map(|p| p.coordinator).or_else(|| {
-                    self.tpc_log.entries().iter().find_map(|r| match r {
-                        TpcRecord::Prepared {
-                            txn: t,
-                            coordinator,
-                            ..
-                        } if *t == txn => Some(*coordinator),
-                        _ => None,
-                    })
-                });
-                let Some(coordinator) = coordinator else {
+                let Some(TpcRecord::Prepared { coordinator, .. }) =
+                    self.record(txn, Role::Participant)
+                else {
                     return Vec::new();
                 };
                 vec![
@@ -875,7 +937,7 @@ impl Node {
     pub fn crash(&mut self) {
         self.up = false;
         self.coord.clear();
-        self.part.clear();
+        self.forget.clear();
         self.rpc_seen.clear();
         self.rpc_calls.clear();
         self.pull_pending.clear();
@@ -890,87 +952,58 @@ impl Node {
         self.stale.extend(replicated);
     }
 
-    /// Recovers the node: replays the stable store, rebuilds protocol
-    /// obligations from the durable log, pulls replica state from
-    /// peers. Returns the effects to schedule.
+    /// Recovers the node: rebuilds protocol obligations from the 2PC
+    /// records, pulls replica state from peers. Returns the effects to
+    /// schedule.
     pub fn recover(&mut self) -> Vec<Effect> {
         self.up = true;
-        self.store.recover();
         let mut effects = Vec::new();
 
-        // Coordinator obligations: committed but not ended → push the
-        // decision again.
-        let records = self.tpc_log.entries();
-        let ended: HashSet<TxnId> = records
-            .iter()
-            .filter_map(|r| match r {
-                TpcRecord::CoordEnd { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        for record in &records {
-            if let TpcRecord::CoordCommit { txn, participants } = record {
-                if !ended.contains(txn) {
-                    self.coord.insert(
-                        *txn,
-                        CoordState {
-                            participants: participants.clone(),
-                            writes: HashMap::new(),
-                            votes: HashSet::new(),
-                            decided: Some(true),
-                            acked: HashSet::new(),
-                            prepare_attempts: 0,
-                            decision_attempts: 0,
-                            begin_at_us: self.obs().now_us(),
-                        },
-                    );
-                    for &to in participants {
-                        effects.push(Effect::Send {
-                            to,
-                            msg: Message::Decision {
-                                txn: *txn,
-                                commit: true,
-                            },
-                        });
-                    }
-                    effects.push(Effect::SetTimer {
-                        delay: RETRY_INTERVAL,
-                        tag: TimerTag::DecisionRetry(*txn),
-                    });
-                }
+        // Coordinator obligations: a commit record still present means
+        // some participant may not know yet → push the decision again.
+        for object in self.record_ids(Role::Coordinator) {
+            let Some(TpcRecord::CoordCommit { txn, participants }) = self.decode(object) else {
+                continue;
+            };
+            for &to in &participants {
+                effects.push(Effect::Send {
+                    to,
+                    msg: Message::Decision { txn, commit: true },
+                });
             }
+            effects.push(Effect::SetTimer {
+                delay: RETRY_INTERVAL,
+                tag: TimerTag::DecisionRetry(txn),
+            });
+            self.coord.insert(
+                txn,
+                CoordState {
+                    participants,
+                    writes: HashMap::new(),
+                    votes: HashSet::new(),
+                    decided: Some(true),
+                    acked: HashSet::new(),
+                    prepare_attempts: 0,
+                    decision_attempts: 0,
+                    begin_at_us: self.obs().now_us(),
+                },
+            );
         }
 
         // Participant obligations: prepared but not done → query.
-        let done: HashSet<TxnId> = records
-            .iter()
-            .filter_map(|r| match r {
-                TpcRecord::ParticipantDone { txn } => Some(*txn),
-                _ => None,
-            })
-            .collect();
-        for record in &records {
-            if let TpcRecord::Prepared {
+        for object in self.record_ids(Role::Participant) {
+            if let Some(TpcRecord::Prepared {
                 txn, coordinator, ..
-            } = record
+            }) = self.decode(object)
             {
-                if !done.contains(txn) {
-                    self.part.insert(
-                        *txn,
-                        PartState {
-                            coordinator: *coordinator,
-                            done: false,
-                        },
-                    );
-                    effects.push(Effect::Send {
-                        to: *coordinator,
-                        msg: Message::DecisionQuery { txn: *txn },
-                    });
-                    effects.push(Effect::SetTimer {
-                        delay: 2 * RETRY_INTERVAL,
-                        tag: TimerTag::QueryDecision(*txn),
-                    });
-                }
+                effects.push(Effect::Send {
+                    to: coordinator,
+                    msg: Message::DecisionQuery { txn },
+                });
+                effects.push(Effect::SetTimer {
+                    delay: 2 * RETRY_INTERVAL,
+                    tag: TimerTag::QueryDecision(txn),
+                });
             }
         }
 
@@ -998,96 +1031,22 @@ impl Node {
         effects
     }
 
-    // ------------------------------------------------------------------
-    // Durable mirroring (process deployments)
-    // ------------------------------------------------------------------
-
-    /// Mirrors the node's stable half — installed object states and the
-    /// 2PC log — into `disk`, atomically. A `chroma-node` process calls
-    /// this as its durability barrier: after a handler mutated stable
-    /// state, before the resulting messages leave.
-    ///
-    /// # Errors
-    ///
-    /// [`DiskError`](chroma_store::DiskError) on filesystem failure.
-    pub fn persist_durable(
-        &self,
-        disk: &chroma_store::DiskStore,
-    ) -> Result<(), chroma_store::DiskError> {
-        let mut updates: Vec<(ObjectId, StoreBytes)> = Vec::new();
-        for object in self.store.object_ids() {
-            if let Some(state) = self.store.read(object) {
-                updates.push((object, state));
-            }
-        }
-        let records = self.tpc_log.entries();
-        updates.push((
-            TPC_LOG_OBJECT,
-            StoreBytes::from(crate::wire::encode_records(&records)),
-        ));
-        disk.commit_batch(updates)
-    }
-
-    /// Restores the stable half from a [`persist_durable`] mirror:
-    /// object states re-enter the in-memory stable store, 2PC records
-    /// re-enter the durable log. Ignores objects outside the mirror's
-    /// namespace (e.g. ones a co-hosted `Runtime` allocated).
-    ///
-    /// [`persist_durable`]: Node::persist_durable
-    ///
-    /// # Errors
-    ///
-    /// [`DiskError`](chroma_store::DiskError) on filesystem failure or
-    /// an unreadable log blob.
-    pub fn restore_durable(
-        &mut self,
-        disk: &chroma_store::DiskStore,
-    ) -> Result<(), chroma_store::DiskError> {
-        let mut updates = Vec::new();
-        for object in disk.object_ids()? {
-            if object == TPC_LOG_OBJECT {
-                if let Some(blob) = disk.read(object)? {
-                    let records = crate::wire::decode_records(&blob).map_err(|e| {
-                        chroma_store::DiskError::CorruptLog(format!("tpc log blob: {e}"))
-                    })?;
-                    for record in records {
-                        self.tpc_log.append(record);
-                    }
-                }
-            } else if (MIRROR_FLOOR..TPC_LOG_OBJECT.as_raw()).contains(&object.as_raw()) {
-                if let Some(state) = disk.read(object)? {
-                    updates.push((object, state));
-                }
-            }
-        }
-        if !updates.is_empty() {
-            self.store.commit_batch(updates);
-        }
-        Ok(())
+    /// The ids of every 2PC record of `role` in the store.
+    fn record_ids(&self, role: Role) -> Vec<ObjectId> {
+        self.store
+            .ids_in(role.range())
+            .unwrap_or_else(|e| self.storage_failed(&e))
     }
 }
 
-/// Where [`Node::persist_durable`] keeps the encoded 2PC log inside a
-/// shared [`DiskStore`](chroma_store::DiskStore) — far above any real
-/// object id.
-pub const TPC_LOG_OBJECT: ObjectId = ObjectId::from_raw(1 << 62);
-
-/// Lowest object id [`Node::restore_durable`] treats as mirrored node
-/// state; ids below belong to a co-hosted `Runtime`.
-const MIRROR_FLOOR: u64 = 1_000;
-
-impl Observable for Node {
-    /// Installs an observability handle, forwarding it to the stable
-    /// store and the commit log so WAL events flow through too.
-    ///
-    /// The handle is rebound to this node's identity first, so every
-    /// event the node (or its store/log) emits carries a `node` field
-    /// and ticks this node's Lamport clock.
+impl<S> Observable for Node<S> {
+    /// Installs an observability handle, rebound to this node's
+    /// identity first, so every event the node emits carries a `node`
+    /// field and ticks this node's Lamport clock. The store is left
+    /// alone: a shared [`DiskStore`](chroma_store::DiskStore)'s segment
+    /// and checkpoint events are not this node's.
     fn install_obs(&self, obs: Obs) {
-        let obs = obs.at_node(self.id);
-        self.store.install_obs(obs.clone());
-        self.tpc_log.install_obs(obs.clone());
-        self.obs.set(obs);
+        self.obs.set(obs.at_node(self.id));
     }
 }
 
@@ -1099,17 +1058,16 @@ impl Observable for Node {
 /// use chroma_base::NodeId;
 /// use chroma_dist::Node;
 ///
-/// let node = Node::builder().id(NodeId::from_raw(3)).build().unwrap();
+/// let node = Node::builder().id(NodeId::from_raw(3)).build();
 /// assert_eq!(node.id(), NodeId::from_raw(3));
 /// ```
-#[derive(Default)]
-pub struct NodeBuilder<'a> {
+pub struct NodeBuilder<S = StableStore> {
     id: Option<NodeId>,
     obs: Option<Obs>,
-    backend: Option<&'a chroma_store::DiskStore>,
+    store: S,
 }
 
-impl<'a> NodeBuilder<'a> {
+impl<S: StableStorage> NodeBuilder<S> {
     /// Sets the node's identity.
     #[must_use]
     pub fn id(mut self, id: NodeId) -> Self {
@@ -1136,38 +1094,32 @@ impl<'a> NodeBuilder<'a> {
         self
     }
 
-    /// Restores the node's stable half from a [`Node::persist_durable`]
-    /// mirror in `disk` at build time.
+    /// Runs the node on `store` — e.g. a process's
+    /// [`DiskStore`](chroma_store::DiskStore) — instead of a fresh
+    /// simulated one.
     #[must_use]
-    pub fn backend(self, disk: &chroma_store::DiskStore) -> NodeBuilder<'_> {
+    pub fn store<T: StableStorage>(self, store: T) -> NodeBuilder<T> {
         NodeBuilder {
             id: self.id,
             obs: self.obs,
-            backend: Some(disk),
+            store,
         }
     }
 
-    /// Builds the node: restore durable state first (quietly), then
-    /// install observability.
-    ///
-    /// # Errors
-    ///
-    /// [`DiskError`](chroma_store::DiskError) if restoring from the
-    /// backend fails.
+    /// Builds the node. Call [`Node::recover`] on it to pick up the
+    /// obligations a non-empty store records.
     ///
     /// # Panics
     ///
     /// Panics if no identity was provided via [`NodeBuilder::id`] or
     /// [`NodeBuilder::transport`].
-    pub fn build(self) -> Result<Node, chroma_store::DiskError> {
+    #[must_use]
+    pub fn build(self) -> Node<S> {
         let id = self.id.expect("NodeBuilder requires an id or transport");
-        let mut node = Node::new(id);
-        if let Some(disk) = self.backend {
-            node.restore_durable(disk)?;
-        }
+        let node = Node::with_store(id, self.store);
         if let Some(obs) = self.obs {
             node.install_obs(obs);
         }
-        Ok(node)
+        node
     }
 }

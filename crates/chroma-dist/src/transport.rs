@@ -20,6 +20,7 @@ use std::time::Duration;
 
 use chroma_base::NodeId;
 use chroma_obs::{EventKind, Obs};
+use chroma_store::StableStorage;
 
 use crate::msg::{CorrId, Effect, Message, TimerTag, TxnId, Write};
 use crate::node::Node;
@@ -120,28 +121,17 @@ pub trait Transport {
 /// emits the `MsgDeliver` trace event, runs the handler and applies the
 /// resulting effects. The single code path shared by the simulator's
 /// scheduler and the `chroma-node` process loop.
-pub fn dispatch<T: Transport + ?Sized>(node: &mut Node, transport: &mut T, event: TransportEvent) {
-    dispatch_with(node, transport, event, |_| {});
-}
-
-/// [`dispatch`] with a durability barrier: `barrier` runs after the
-/// node's handler mutated its stable state but **before** any resulting
-/// effect reaches the transport.
 ///
-/// This is how a real process keeps the 2PC commit point honest under
-/// `kill -9`: the coordinator's `CoordCommit` record (and a
-/// participant's `Prepared` record) must be on disk before the first
-/// `Decision` (resp. `VoteYes`) message can leave. A crash between the
-/// barrier and the sends only loses volatile messages, which the
+/// No separate durability barrier is needed: a handler commits what it
+/// changed to the node's stable store before it returns its effects, so
+/// the coordinator's commit record (and a participant's prepare record)
+/// is durable before the first `Decision` (resp. `VoteYes`) can leave.
+/// A crash after the commit only loses volatile messages, which the
 /// protocol already retransmits.
-pub fn dispatch_with<T, F>(
-    node: &mut Node,
-    transport: &mut T,
-    event: TransportEvent,
-    mut barrier: F,
-) where
+pub fn dispatch<S, T>(node: &mut Node<S>, transport: &mut T, event: TransportEvent)
+where
+    S: StableStorage,
     T: Transport + ?Sized,
-    F: FnMut(&mut Node),
 {
     match event {
         TransportEvent::Deliver {
@@ -158,12 +148,10 @@ pub fn dispatch_with<T, F>(
             obs.merge_clock(to, send_lc);
             obs.emit_corr(corr, EventKind::MsgDeliver { from, to, kind });
             let effects = node.handle_message(from, msg);
-            barrier(node);
             transport.apply_effects(effects);
         }
         TransportEvent::Timer { tag } => {
             let effects = node.handle_timer(tag);
-            barrier(node);
             transport.apply_effects(effects);
         }
         // A gap carries no payload to hand the node; the driver decides

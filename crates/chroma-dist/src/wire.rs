@@ -10,10 +10,10 @@
 //! support in this build), hand-rolled in the same spirit as
 //! `chroma_store::codec`.
 //!
-//! [`TpcRecord`] gets the same treatment (magic `CHTL`) so a real
-//! process can mirror its durable protocol log into a
-//! [`DiskStore`](chroma_store::DiskStore) and recover it after
-//! `kill -9`.
+//! Each durable [`TpcRecord`] gets the same treatment (magic `CHTL`):
+//! a node keeps every record as one object in its stable store, so a
+//! real process recovers its protocol obligations from a
+//! [`DiskStore`](chroma_store::DiskStore) after `kill -9`.
 
 use chroma_base::{NodeId, ObjectId};
 use chroma_store::StoreBytes;
@@ -23,8 +23,8 @@ use crate::node::TpcRecord;
 
 /// Magic prefix of every encoded [`Message`].
 pub const WIRE_MAGIC: [u8; 4] = *b"CHMS";
-/// Magic prefix of an encoded [`TpcRecord`] log.
-pub const LOG_MAGIC: [u8; 4] = *b"CHTL";
+/// Magic prefix of an encoded [`TpcRecord`].
+pub const RECORD_MAGIC: [u8; 4] = *b"CHTL";
 /// Current wire-format version (bumped on any layout change).
 pub const WIRE_VERSION: u8 = 1;
 
@@ -288,104 +288,86 @@ pub fn decode(buf: &[u8]) -> Result<Message, WireError> {
     Ok(msg)
 }
 
-/// Encodes a durable 2PC log as one versioned blob.
+/// Encodes one durable 2PC record as a versioned blob — the state of
+/// one stable object.
 #[must_use]
-pub fn encode_records(records: &[TpcRecord]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + records.len() * 16);
-    out.extend_from_slice(&LOG_MAGIC);
+pub fn encode_record(record: &TpcRecord) -> Vec<u8> {
+    let mut out = Vec::with_capacity(32);
+    out.extend_from_slice(&RECORD_MAGIC);
     out.push(WIRE_VERSION);
-    out.extend_from_slice(
-        &u32::try_from(records.len())
-            .expect("record count fits u32")
-            .to_le_bytes(),
-    );
-    for record in records {
-        match record {
-            TpcRecord::CoordCommit { txn, participants } => {
-                out.push(0);
-                out.extend_from_slice(&txn.0.to_le_bytes());
-                out.extend_from_slice(
-                    &u32::try_from(participants.len())
-                        .expect("participant count fits u32")
-                        .to_le_bytes(),
-                );
-                for p in participants {
-                    out.extend_from_slice(&p.as_raw().to_le_bytes());
-                }
+    match record {
+        TpcRecord::CoordCommit { txn, participants } => {
+            out.push(0);
+            out.extend_from_slice(&txn.0.to_le_bytes());
+            out.extend_from_slice(
+                &u32::try_from(participants.len())
+                    .expect("participant count fits u32")
+                    .to_le_bytes(),
+            );
+            for p in participants {
+                out.extend_from_slice(&p.as_raw().to_le_bytes());
             }
-            TpcRecord::CoordEnd { txn } => {
-                out.push(1);
-                out.extend_from_slice(&txn.0.to_le_bytes());
-            }
-            TpcRecord::Prepared {
-                txn,
-                coordinator,
-                writes,
-            } => {
-                out.push(2);
-                out.extend_from_slice(&txn.0.to_le_bytes());
-                out.extend_from_slice(&coordinator.as_raw().to_le_bytes());
-                put_writes(&mut out, writes);
-            }
-            TpcRecord::ParticipantDone { txn } => {
-                out.push(3);
-                out.extend_from_slice(&txn.0.to_le_bytes());
-            }
+        }
+        TpcRecord::Prepared {
+            txn,
+            coordinator,
+            writes,
+        } => {
+            out.push(1);
+            out.extend_from_slice(&txn.0.to_le_bytes());
+            out.extend_from_slice(&coordinator.as_raw().to_le_bytes());
+            put_writes(&mut out, writes);
+        }
+        TpcRecord::ParticipantDone { txn } => {
+            out.push(2);
+            out.extend_from_slice(&txn.0.to_le_bytes());
         }
     }
     out
 }
 
-/// Decodes a durable 2PC log blob.
+/// Decodes one durable 2PC record.
 ///
 /// # Errors
 ///
 /// [`WireError`] on bad magic, unsupported version, truncation, unknown
 /// tags, or trailing garbage.
-pub fn decode_records(buf: &[u8]) -> Result<Vec<TpcRecord>, WireError> {
+pub fn decode_record(buf: &[u8]) -> Result<TpcRecord, WireError> {
     let mut r = Reader::new(buf);
-    if r.take(4)? != LOG_MAGIC {
+    if r.take(4)? != RECORD_MAGIC {
         return Err(WireError::BadMagic);
     }
     let version = r.u8()?;
     if version != WIRE_VERSION {
         return Err(WireError::BadVersion(version));
     }
-    let count = r.u32()? as usize;
-    let mut records = Vec::with_capacity(count.min(4096));
-    for _ in 0..count {
-        let record = match r.u8()? {
-            0 => {
-                let txn = TxnId(r.u64()?);
-                let n = r.u32()? as usize;
-                let mut participants = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    participants.push(r.node()?);
-                }
-                TpcRecord::CoordCommit { txn, participants }
+    let record = match r.u8()? {
+        0 => {
+            let txn = TxnId(r.u64()?);
+            let n = r.u32()? as usize;
+            let mut participants = Vec::with_capacity(n.min(1024));
+            for _ in 0..n {
+                participants.push(r.node()?);
             }
-            1 => TpcRecord::CoordEnd {
-                txn: TxnId(r.u64()?),
-            },
-            2 => {
-                let txn = TxnId(r.u64()?);
-                let coordinator = r.node()?;
-                let writes = r.writes()?;
-                TpcRecord::Prepared {
-                    txn,
-                    coordinator,
-                    writes,
-                }
+            TpcRecord::CoordCommit { txn, participants }
+        }
+        1 => {
+            let txn = TxnId(r.u64()?);
+            let coordinator = r.node()?;
+            let writes = r.writes()?;
+            TpcRecord::Prepared {
+                txn,
+                coordinator,
+                writes,
             }
-            3 => TpcRecord::ParticipantDone {
-                txn: TxnId(r.u64()?),
-            },
-            other => return Err(WireError::UnknownTag(other)),
-        };
-        records.push(record);
-    }
+        }
+        2 => TpcRecord::ParticipantDone {
+            txn: TxnId(r.u64()?),
+        },
+        other => return Err(WireError::UnknownTag(other)),
+    };
     r.done()?;
-    Ok(records)
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -432,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn tpc_log_round_trips() {
+    fn tpc_records_round_trip() {
         let records = vec![
             TpcRecord::Prepared {
                 txn: TxnId(4),
@@ -447,11 +429,12 @@ mod tests {
                 participants: vec![NodeId::from_raw(2), NodeId::from_raw(3)],
             },
             TpcRecord::ParticipantDone { txn: TxnId(4) },
-            TpcRecord::CoordEnd { txn: TxnId(4) },
         ];
-        let blob = encode_records(&records);
-        assert_eq!(decode_records(&blob).unwrap(), records);
-        assert_eq!(decode_records(&blob[..3]), Err(WireError::Truncated));
+        for record in records {
+            let blob = encode_record(&record);
+            assert_eq!(decode_record(&blob).unwrap(), record);
+            assert_eq!(decode_record(&blob[..3]), Err(WireError::Truncated));
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The simulator proves the protocols; this binary proves the *code*:
 //! the same [`Node`] state machines, dispatched through the same
-//! [`dispatch_with`] path, run here over [`TcpTransport`] instead of
+//! [`dispatch`] path, run here over [`TcpTransport`] instead of
 //! the discrete-event scheduler — as separately killable processes.
 //!
 //! ```text
@@ -22,12 +22,13 @@
 //!
 //! Three things make `kill -9` survivable:
 //!
-//! * every dispatch runs [`Node::persist_durable`] as its durability
-//!   barrier — stable state reaches the [`DiskBackend`]'s intentions
-//!   log *before* any resulting message leaves;
-//! * on restart the node rebuilds from that mirror
-//!   (`Node::builder().backend(..)`) and [`Node::recover`] re-derives
-//!   its protocol obligations;
+//! * the node runs directly on the [`DiskBackend`]'s store
+//!   (`Node::builder().store(..)`): each handler commits only what it
+//!   changed — a prepare record, a commit record, or the installed
+//!   writes plus a done marker — and does so *before* any resulting
+//!   message leaves; a dispatch that changes nothing writes nothing;
+//! * on restart [`Node::recover`] re-derives the protocol obligations
+//!   from the 2PC records in that store;
 //! * the process appends to its per-node JSONL trace with its Lamport
 //!   clock restored from the trace's own tail, so a merged cluster
 //!   trace (`chroma-trace merge`) still audits clean across the crash.
@@ -45,18 +46,22 @@ use std::time::{Duration, Instant};
 use chroma_base::{NodeId, ObjectId};
 use chroma_core::{DiskBackend, Runtime};
 use chroma_dist::{
-    dispatch_with, Node, TcpConfig, TcpTransport, Transport, TransportEvent, TxnId, Write,
+    dispatch, Node, TcpConfig, TcpTransport, Transport, TransportEvent, TxnId, Write,
 };
 use chroma_obs::{AppendJsonlSink, EventBus, EventKind, Obs, Observable};
-use chroma_store::StoreBytes;
+use chroma_store::{DiskStore, StoreBytes};
 
 /// Lowest object id the coordinator writes through 2PC; ids below
 /// belong to each process's co-hosted [`Runtime`], ids at or above
-/// `1 << 62` to the node mirror itself.
+/// `1 << 62` to the node's 2PC records.
 const APP_OBJECT_BASE: u64 = 1_000;
 
+/// The co-hosted [`Runtime`]'s one object: the incarnation count. The
+/// first boot of a fresh store creates it here.
+const BOOT_OBJECT: ObjectId = ObjectId::from_raw(1);
+
 /// How long a coordinator drives one transaction before giving up and
-/// reporting whatever the durable log says.
+/// reporting whatever its commit record says.
 const TXN_DEADLINE: Duration = Duration::from_secs(30);
 
 fn main() -> ExitCode {
@@ -191,7 +196,7 @@ fn run(opts: &Opts) -> Result<(), String> {
     bus.add_sink(Arc::new(sink));
     let obs = Obs::new(Arc::clone(&bus));
 
-    // -- durability: one DiskStore shared by the node mirror and the
+    // -- durability: one DiskStore shared by the node and the
     // co-hosted Runtime (kept in disjoint object-id ranges). The store
     // stays un-observed: its WAL events belong to single-process
     // deployments, not this per-node protocol trace.
@@ -220,12 +225,11 @@ fn run(opts: &Opts) -> Result<(), String> {
         tcp.add_peer(peer, addr);
     }
 
-    // -- the protocol node, restored from its durable mirror
+    // -- the protocol node, on the process's own stable store
     let mut node = Node::builder()
         .transport(&tcp)
-        .backend(backend.store())
-        .build()
-        .map_err(|e| format!("cannot restore node state: {e}"))?;
+        .store(backend.store())
+        .build();
     if restarting {
         // the SIGKILL'd incarnation could not write these itself; record
         // the crash/recover pair so the merged trace tells the story
@@ -238,7 +242,7 @@ fn run(opts: &Opts) -> Result<(), String> {
 
     // -- a co-hosted Runtime on the same backend: each boot commits a
     // genuine action recording the incarnation, proving the full local
-    // stack (locks, undo, WAL) runs over the same disk as the mirror.
+    // stack (locks, undo, WAL) runs over the same disk as the node.
     // Untraced: its action/object ids are per-process, so they would
     // collide across the merged cluster trace — only protocol events
     // belong in a per-node trace.
@@ -246,22 +250,22 @@ fn run(opts: &Opts) -> Result<(), String> {
         .backend(Arc::clone(&backend) as Arc<dyn chroma_core::PermanenceBackend>)
         .at_node(opts.id)
         .build();
-    let boot = runtime
-        .create_object(&u64::from(restarting))
-        .map_err(|e| format!("boot action failed: {e}"))?;
+    // A restart reuses the boot object: creating one would take the
+    // id above the store's highest, which lies among the 2PC records.
+    let boot = if runtime.read_committed::<u64>(BOOT_OBJECT).is_ok() {
+        BOOT_OBJECT
+    } else {
+        runtime
+            .create_object(&0u64)
+            .map_err(|e| format!("boot action failed: {e}"))?
+    };
     runtime
         .atomic(|a| a.modify(boot, |count: &mut u64| *count += 1))
         .map_err(|e| format!("boot action failed: {e}"))?;
 
-    let disk = Arc::clone(&backend);
-    let barrier = move |n: &mut Node| {
-        n.persist_durable(disk.store())
-            .expect("durability barrier: cannot mirror stable state");
-    };
-
     match opts.role {
-        Role::Worker => run_worker(opts, &mut node, &mut tcp, barrier),
-        Role::Coordinator => run_coordinator(opts, &mut node, &mut tcp, barrier),
+        Role::Worker => run_worker(opts, &mut node, &mut tcp),
+        Role::Coordinator => run_coordinator(opts, &mut node, &mut tcp),
     }
 }
 
@@ -269,9 +273,8 @@ fn run(opts: &Opts) -> Result<(), String> {
 /// (the supervising process went away) — or never, if killed first.
 fn run_worker(
     opts: &Opts,
-    node: &mut Node,
+    node: &mut Node<&DiskStore>,
     tcp: &mut TcpTransport,
-    mut barrier: impl FnMut(&mut Node),
 ) -> Result<(), String> {
     println!("worker {} ready on {}", opts.id, tcp.local_addr());
     std::io::stdout().flush().ok();
@@ -283,7 +286,7 @@ fn run_worker(
     loop {
         if let Some(event) = tcp.poll(Some(Duration::from_millis(50))) {
             surface_gap(&event);
-            dispatch_with(node, tcp, event, &mut barrier);
+            dispatch(node, tcp, event);
         }
     }
 }
@@ -292,9 +295,8 @@ fn run_worker(
 /// stdout, then linger to answer straggler decision queries.
 fn run_coordinator(
     opts: &Opts,
-    node: &mut Node,
+    node: &mut Node<&DiskStore>,
     tcp: &mut TcpTransport,
-    mut barrier: impl FnMut(&mut Node),
 ) -> Result<(), String> {
     println!("coordinator {} ready on {}", opts.id, tcp.local_addr());
     std::io::stdout().flush().ok();
@@ -326,7 +328,7 @@ fn run_coordinator(
         while node.coordinator_active(txn) && Instant::now() < deadline {
             if let Some(event) = tcp.poll(Some(Duration::from_millis(50))) {
                 surface_gap(&event);
-                dispatch_with(node, tcp, event, &mut barrier);
+                dispatch(node, tcp, event);
             }
         }
         let outcome = if node.coordinator_outcome(txn) == Some(true) {
@@ -343,9 +345,12 @@ fn run_coordinator(
     while Instant::now() < linger_until {
         if let Some(event) = tcp.poll(Some(Duration::from_millis(50))) {
             surface_gap(&event);
-            dispatch_with(node, tcp, event, &mut barrier);
+            dispatch(node, tcp, event);
         }
     }
+    // the last transactions' commit records are still waiting for a
+    // batch to carry their deletes
+    node.flush();
     println!("coordinator done: {committed}/{} committed", opts.txns);
     std::io::stdout().flush().ok();
     Ok(())

@@ -1,7 +1,9 @@
 //! The acceptance test of the process deployment: a 3-process cluster
 //! (one coordinator, two workers over `TcpTransport`) survives
-//! `kill -9` of a worker mid-2PC, recovers from its durable mirror,
-//! keeps committing, and the merged per-process traces audit clean.
+//! `kill -9` of a worker or of the coordinator mid-2PC, recovers from
+//! the 2PC records in its own store, resolves every prepared
+//! transaction the same way on both workers, and the merged
+//! per-process traces audit clean.
 //!
 //! `CHROMA_TORTURE_SEED` varies the write payloads, transaction count
 //! and kill point, so the CI seed matrix explores different interleavings.
@@ -13,8 +15,10 @@ use std::process::{Child, Command, Stdio};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use chroma_base::ObjectId;
-use chroma_obs::{merge_trace_files, TraceAuditor};
+use std::collections::BTreeSet;
+
+use chroma_base::{NodeId, ObjectId};
+use chroma_obs::{merge_trace_files, EventKind, TraceAuditor};
 use chroma_store::DiskStore;
 
 const BIN: &str = env!("CARGO_BIN_EXE_chroma-node");
@@ -105,6 +109,14 @@ impl ClusterPaths {
     }
 
     fn spawn_coordinator(&self, txns: u64) -> (Reaped, mpsc::Receiver<String>) {
+        self.spawn_coordinator_lingering(txns, 1_500)
+    }
+
+    fn spawn_coordinator_lingering(
+        &self,
+        txns: u64,
+        linger_ms: u64,
+    ) -> (Reaped, mpsc::Receiver<String>) {
         let mut cmd = Command::new(BIN);
         cmd.arg("coordinator")
             .args(["--id", "1"])
@@ -115,7 +127,7 @@ impl ClusterPaths {
             .args(["--trace", self.trace(1).to_str().unwrap()])
             .args(["--txns", &txns.to_string()])
             .args(["--seed", &seed().to_string()])
-            .args(["--linger-ms", "1500"])
+            .args(["--linger-ms", &linger_ms.to_string()])
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit());
@@ -259,8 +271,8 @@ fn kill9_mid_2pc_recovers_and_audits_clean() {
     let mut killed = false;
     let outcomes = drain_outcomes(&rx, txns, |line| {
         if !killed && line.starts_with(&begin_marker) {
-            // SIGKILL, not a polite shutdown: the durable mirror is all
-            // the next incarnation gets
+            // SIGKILL, not a polite shutdown: the store is all the next
+            // incarnation gets
             w2.take()
                 .expect("worker 2 alive")
                 .0
@@ -286,9 +298,86 @@ fn kill9_mid_2pc_recovers_and_audits_clean() {
     std::fs::remove_dir_all(&paths.dir).ok();
 }
 
-/// The same durable mirror that survives `kill -9` must also produce a
-/// clean second boot: stable state round-trips, and the re-reported
-/// outcomes match what the coordinator printed the first time.
+/// A coordinator SIGKILLed mid-run and restarted on the same `--data`
+/// with nothing new to drive: it re-pushes the decisions its commit
+/// records still hold and answers the workers' queries for the rest
+/// (presumed abort), so every prepared transaction resolves, the same
+/// way on both workers.
+#[test]
+fn coordinator_kill9_resolves_every_prepared_txn() {
+    let paths = ClusterPaths::new("coordkill");
+    let w2 = paths.spawn_worker(2);
+    let w3 = paths.spawn_worker(3);
+
+    let s = seed();
+    let txns = 6 + (s % 3); // 6..=8
+    let kill_at = 3 + (s % 3); // SIGKILL the coordinator as txn 3..=5 begins
+    let (mut coord, rx) = paths.spawn_coordinator(txns);
+    let mut reported = Outcomes {
+        committed: Vec::new(),
+        aborted: Vec::new(),
+    };
+    let begin_marker = format!("begin txn {kill_at} ");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let line = rx
+            .recv_timeout(left)
+            .expect("coordinator stdout closed before the kill point");
+        parse_outcome(&line, &mut reported);
+        if line.starts_with(&begin_marker) {
+            coord.0.kill().expect("kill -9");
+            coord.0.wait().expect("reap coordinator");
+            break;
+        }
+    }
+
+    let (mut restarted, rx) = paths.spawn_coordinator_lingering(0, 4_000);
+    let done = rx
+        .iter()
+        .find(|line| line.starts_with("coordinator done"))
+        .expect("restarted coordinator must finish");
+    assert_eq!(done, "coordinator done: 0/0 committed");
+    let status = restarted.0.wait().expect("restarted coordinator exit");
+    assert!(status.success(), "restarted coordinator: {status:?}");
+    drop((w2, w3));
+
+    // every committed report reached both workers
+    check_store(&paths.data(2), &reported);
+    check_store(&paths.data(3), &reported);
+    // every transaction begun resolved the same way on both workers
+    let s2 = DiskStore::open(paths.data(2)).expect("reopen worker 2");
+    let s3 = DiskStore::open(paths.data(3)).expect("reopen worker 3");
+    for txn in 1..=kill_at {
+        let installed2 = s2.read(txn_object(txn)).expect("read").is_some();
+        let installed3 = s3.read(txn_object(txn)).expect("read").is_some();
+        assert_eq!(installed2, installed3, "txn {txn} split across workers");
+    }
+    // and no worker is left in doubt: each prepare met its resolution
+    let merged =
+        merge_trace_files(&[paths.trace(1), paths.trace(2), paths.trace(3)]).expect("merge traces");
+    let mut prepared = BTreeSet::new();
+    let mut resolved = BTreeSet::new();
+    for event in &merged.events {
+        match event.kind {
+            EventKind::TpcPrepare { node, txn } => {
+                prepared.insert((node, txn));
+            }
+            EventKind::TpcResolve { node, txn, .. } => {
+                resolved.insert((node, txn));
+            }
+            _ => {}
+        }
+    }
+    let in_doubt: Vec<&(NodeId, u64)> = prepared.difference(&resolved).collect();
+    assert!(in_doubt.is_empty(), "still in doubt: {in_doubt:?}");
+    audit_merged(&paths);
+    std::fs::remove_dir_all(&paths.dir).ok();
+}
+
+/// A worker's stable store must also produce a clean second boot:
+/// stable state round-trips, and the re-reported outcomes match what
+/// the coordinator printed the first time.
 #[test]
 fn worker_store_round_trips_across_restart() {
     let paths = ClusterPaths::new("roundtrip");
@@ -301,7 +390,7 @@ fn worker_store_round_trips_across_restart() {
     drop(w2); // SIGKILL via Reaped
 
     // boot a fresh incarnation with no cluster around it: it must come
-    // up from the mirror alone (recovery sends go nowhere) and its
+    // up from its store alone (recovery sends go nowhere) and its
     // trace must extend the old one, not restart it
     let before = std::fs::read_to_string(paths.trace(2)).unwrap().len();
     let w2b = paths.spawn_worker(2);

@@ -14,7 +14,9 @@
 //!   action on that object in that colour at that moment.
 //! * **R4 — 2PC safety.** All decision and resolution events for one
 //!   transaction agree; a commit decision requires a yes-vote from
-//!   every participant and no observed no-vote.
+//!   every participant and no observed no-vote; a coordinator forgets
+//!   its commit record only after it took an acknowledgement from
+//!   every participant.
 //! * **R5 — per-replica version monotonicity.** A member never
 //!   installs a version of a replicated object lower than one it has
 //!   already installed (a late two-phase-commit decision must not roll
@@ -156,6 +158,19 @@ pub enum Violation {
         txn: u64,
         /// A no-voter.
         node: NodeId,
+    },
+    /// R4: a coordinator forgot its commit record before every
+    /// participant had acknowledged the decision.
+    ForgetBeforeAcks {
+        /// The transaction.
+        txn: u64,
+        /// The forgetting coordinator.
+        node: NodeId,
+        /// Distinct participants whose ack it had taken.
+        acked: u64,
+        /// Participants the trace knows of (yes-voters, or the count
+        /// the decision declared, whichever is larger).
+        participants: u64,
     },
     /// R5: a member installed a lower version of a replicated object
     /// than one it had already installed.
@@ -361,6 +376,15 @@ impl fmt::Display for Violation {
             Violation::CommitDespiteNoVote { txn, node } => {
                 write!(f, "2pc: T{txn} committed although {node} voted no")
             }
+            Violation::ForgetBeforeAcks {
+                txn,
+                node,
+                acked,
+                participants,
+            } => write!(
+                f,
+                "2pc: {node} forgot T{txn} after only {acked}/{participants} acks"
+            ),
             Violation::ReplicaVersionRegression {
                 node,
                 object,
@@ -501,6 +525,10 @@ struct TxnState {
     yes: BTreeSet<u32>,
     no: BTreeSet<u32>,
     decision: Option<bool>,
+    /// Participant count the first decision declared.
+    participants: u64,
+    /// Participants whose ack a coordinator took.
+    acked: BTreeSet<u32>,
     /// Lamport clock of each member's first stamped yes-vote (R8:
     /// the commit decision must causally follow every one).
     yes_lc: HashMap<u32, u64>,
@@ -849,6 +877,7 @@ impl TraceAuditor {
                     Some(_) => {}
                     None => {
                         state.decision = Some(commit);
+                        state.participants = participants;
                         if commit {
                             let yes_votes = state.yes.len() as u64;
                             if yes_votes < participants {
@@ -901,6 +930,27 @@ impl TraceAuditor {
                     // transaction whose coordinator never logged a
                     // decision; later events must still agree with it
                     None => state.decision = Some(commit),
+                }
+            }
+            EventKind::TpcAck { from, txn, .. } => {
+                self.txns
+                    .entry(txn)
+                    .or_default()
+                    .acked
+                    .insert(from.as_raw());
+            }
+            EventKind::TpcForget { node, txn } => {
+                let state = self.txns.entry(txn).or_default();
+                let participants = (state.yes.len() as u64).max(state.participants);
+                let all_acked =
+                    state.yes.is_subset(&state.acked) && state.acked.len() as u64 >= participants;
+                if participants == 0 || !all_acked {
+                    self.violations.push(Violation::ForgetBeforeAcks {
+                        txn,
+                        node,
+                        acked: state.acked.len() as u64,
+                        participants,
+                    });
                 }
             }
             EventKind::ReplicaInstall {

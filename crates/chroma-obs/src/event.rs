@@ -554,10 +554,28 @@ pub enum EventKind {
         /// Record bytes reclaimed.
         bytes: u64,
     },
+    /// The coordinator took a participant's acknowledgement of its
+    /// decision.
+    TpcAck {
+        /// The coordinator.
+        node: NodeId,
+        /// The acknowledging participant.
+        from: NodeId,
+        /// The transaction.
+        txn: u64,
+    },
+    /// The coordinator deleted its commit record: every participant
+    /// had acknowledged the decision (the auditor's R4 checks this).
+    TpcForget {
+        /// The coordinator.
+        node: NodeId,
+        /// The transaction.
+        txn: u64,
+    },
 }
 
 /// Count of [`EventKind`] variants; sizes the per-kind counter array.
-pub(crate) const KIND_COUNT: usize = 40;
+pub(crate) const KIND_COUNT: usize = 42;
 
 /// The stable tag of every kind, indexed by [`EventKind::index`].
 pub(crate) const KIND_NAMES: [&str; KIND_COUNT] = [
@@ -601,6 +619,8 @@ pub(crate) const KIND_NAMES: [&str; KIND_COUNT] = [
     "checkpoint_begin",
     "checkpoint_end",
     "segment_gc",
+    "tpc_ack",
+    "tpc_forget",
 ];
 
 impl EventKind {
@@ -648,6 +668,8 @@ impl EventKind {
             EventKind::CheckpointBegin { .. } => 37,
             EventKind::CheckpointEnd { .. } => 38,
             EventKind::SegmentGc { .. } => 39,
+            EventKind::TpcAck { .. } => 40,
+            EventKind::TpcForget { .. } => 41,
         }
     }
 
@@ -672,6 +694,8 @@ impl EventKind {
             | EventKind::TpcVote { node, .. }
             | EventKind::TpcDecide { node, .. }
             | EventKind::TpcResolve { node, .. }
+            | EventKind::TpcAck { node, .. }
+            | EventKind::TpcForget { node, .. }
             | EventKind::NodeCrash { node }
             | EventKind::NodeRecover { node }
             | EventKind::ReplicaInstall { node, .. }
@@ -986,6 +1010,15 @@ impl Event {
                 num(&mut s, "segment", segment);
                 num(&mut s, "bytes", bytes);
             }
+            EventKind::TpcAck { node, from, txn } => {
+                num(&mut s, "node", u64::from(node.as_raw()));
+                num(&mut s, "from", u64::from(from.as_raw()));
+                num(&mut s, "txn", txn);
+            }
+            EventKind::TpcForget { node, txn } => {
+                num(&mut s, "node", u64::from(node.as_raw()));
+                num(&mut s, "txn", txn);
+            }
         }
         if self.lc > 0 {
             num(&mut s, "lc", self.lc);
@@ -1290,6 +1323,15 @@ impl Event {
             "segment_gc" => EventKind::SegmentGc {
                 segment: get_u64("segment")?,
                 bytes: get_u64("bytes")?,
+            },
+            "tpc_ack" => EventKind::TpcAck {
+                node: node("node")?,
+                from: node("from")?,
+                txn: get_u64("txn")?,
+            },
+            "tpc_forget" => EventKind::TpcForget {
+                node: node("node")?,
+                txn: get_u64("txn")?,
             },
             other => {
                 return Err(TraceParseError::new(format!("unknown event tag `{other}`")));
@@ -1709,6 +1751,15 @@ mod tests {
                 segment: 3,
                 bytes: 4096,
             },
+            EventKind::TpcAck {
+                node: NodeId::from_raw(1),
+                from: NodeId::from_raw(2),
+                txn: 7,
+            },
+            EventKind::TpcForget {
+                node: NodeId::from_raw(1),
+                txn: 7,
+            },
         ];
         kinds
             .into_iter()
@@ -1859,6 +1910,8 @@ mod tests {
             "{\"at_us\":1,\"ev\":\"checkpoint_begin\",\"segments\":1}", // missing batches
             "{\"at_us\":1,\"ev\":\"checkpoint_end\",\"upto\":1,\"batches\":2}", // missing objects
             "{\"at_us\":1,\"ev\":\"segment_gc\",\"segment\":true,\"bytes\":1}", // wrong type
+            "{\"at_us\":1,\"ev\":\"tpc_ack\",\"node\":1,\"txn\":1}", // missing from
+            "{\"at_us\":1,\"ev\":\"tpc_forget\",\"node\":1}", // missing txn
         ] {
             assert!(
                 Event::from_json_line(bad).is_err(),

@@ -352,7 +352,8 @@ impl SpanForest {
                 EventKind::TpcPrepare { txn, .. }
                 | EventKind::TpcVote { txn, .. }
                 | EventKind::TpcDecide { txn, .. }
-                | EventKind::TpcResolve { txn, .. } => {
+                | EventKind::TpcResolve { txn, .. }
+                | EventKind::TpcAck { txn, .. } => {
                     let idx = match txn_spans.get(&txn) {
                         Some(&idx) => idx,
                         None => {
@@ -443,7 +444,10 @@ impl SpanForest {
                 // to no action and must not be charged to one
                 | EventKind::CheckpointBegin { .. }
                 | EventKind::CheckpointEnd { .. }
-                | EventKind::SegmentGc { .. } => {}
+                | EventKind::SegmentGc { .. }
+                // bookkeeping after the transaction's last ack: it must
+                // not stretch the transaction's span
+                | EventKind::TpcForget { .. } => {}
             }
         }
         forest.unpaired_sends = paired
@@ -564,6 +568,8 @@ fn classify(kind: &EventKind) -> Phase {
         | EventKind::TpcVote { .. }
         | EventKind::TpcDecide { .. }
         | EventKind::TpcResolve { .. }
+        | EventKind::TpcAck { .. }
+        | EventKind::TpcForget { .. }
         | EventKind::ReplicaWrite { .. }
         | EventKind::ReplicaInstall { .. }
         | EventKind::ReplicaRead { .. }

@@ -332,6 +332,55 @@ fn r4_commit_despite_no_vote_fires() {
 }
 
 #[test]
+fn r4_forget_before_every_ack_fires() {
+    let vote = |node| {
+        ev(EventKind::TpcVote {
+            node,
+            txn: 5,
+            yes: true,
+        })
+    };
+    let ack = |from| {
+        ev(EventKind::TpcAck {
+            node: n(0),
+            from,
+            txn: 5,
+        })
+    };
+    let forget = ev(EventKind::TpcForget { node: n(0), txn: 5 });
+    let decide = ev(EventKind::TpcDecide {
+        node: n(0),
+        txn: 5,
+        commit: true,
+        participants: 2,
+    });
+    // clean: both participants acked before the coordinator forgot
+    let trace = vec![vote(n(1)), vote(n(2)), decide, ack(n(2)), ack(n(1)), forget];
+    assert!(TraceAuditor::audit_events(&trace).is_clean());
+    // corrupted: the commit record went after the first ack only
+    let trace = vec![vote(n(1)), vote(n(2)), decide, ack(n(2)), forget, ack(n(1))];
+    let report = TraceAuditor::audit_events(&trace);
+    assert!(matches!(
+        report.violations.as_slice(),
+        [Violation::ForgetBeforeAcks {
+            txn: 5,
+            acked: 1,
+            participants: 2,
+            ..
+        }]
+    ));
+    // a forget the trace cannot tie to any participant is not clean
+    let report = TraceAuditor::audit_events(&[forget]);
+    assert!(matches!(
+        report.violations.as_slice(),
+        [Violation::ForgetBeforeAcks {
+            participants: 0,
+            ..
+        }]
+    ));
+}
+
+#[test]
 fn r4_presumed_abort_resolution_then_agreeing_decide_is_clean() {
     // A participant resolved abort (coordinator never logged commit);
     // the coordinator later reaching the same abort verdict is fine.

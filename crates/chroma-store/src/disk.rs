@@ -28,7 +28,8 @@
 //! states are published to an in-memory tail map (reads consult it
 //! first); a background checkpointer thread folds fully-committed
 //! sealed segments into `objects/` — write-temp + rename per object,
-//! then one `objects/` directory fsync — and commits the fold by
+//! removal per deleted object, then one `objects/` directory fsync —
+//! and commits the fold by
 //! rewriting the manifest without them. Only then are the segment
 //! files deleted, so GC always trails the checkpoint watermark: a
 //! crash anywhere leaves either segments the manifest still owns
@@ -82,6 +83,7 @@
 use std::collections::{HashMap, HashSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read as _, Seek as _, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -95,6 +97,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::codec;
 use crate::crc32::crc32;
+use crate::stable::{Change, StableStorage};
 use crate::StoreBytes;
 
 /// Magic prefix identifying the checksummed log format.
@@ -249,12 +252,17 @@ enum DiskRecord {
     Commit {
         batch: u64,
     },
+    /// A tombstone intent: the batch deletes `object`.
+    Delete {
+        batch: u64,
+        object: u64,
+    },
 }
 
 /// A batch waiting in the pending group for a leader to flush it.
 struct PendingBatch {
     id: u64,
-    updates: Vec<(ObjectId, StoreBytes)>,
+    updates: Vec<Change>,
     crash: Option<DiskCrashPoint>,
 }
 
@@ -343,9 +351,9 @@ struct Shared {
     /// Followers park here until the leader posts their outcome.
     group_changed: Condvar,
     wal: Mutex<WalState>,
-    /// Committed-but-not-yet-checkpointed newest state per object,
-    /// tagged with the committing batch id.
-    tail: Mutex<HashMap<u64, (u64, StoreBytes)>>,
+    /// Committed-but-not-yet-checkpointed newest state per object
+    /// (`None`: deleted), tagged with the committing batch id.
+    tail: Mutex<HashMap<u64, (u64, Option<StoreBytes>)>>,
     /// Serialises checkpoints (background thread vs `checkpoint_now`).
     ckpt_run: Mutex<()>,
     ckpt: Mutex<CkptState>,
@@ -529,7 +537,7 @@ impl DiskStore {
     /// I/O failures other than not-found.
     pub fn read(&self, object: ObjectId) -> Result<Option<StoreBytes>, DiskError> {
         if let Some((_, state)) = self.shared.tail.lock().get(&object.as_raw()) {
-            return Ok(Some(state.clone()));
+            return Ok(state.clone());
         }
         match fs::read(self.shared.object_path(object)) {
             Ok(bytes) => Ok(Some(StoreBytes::from(bytes))),
@@ -541,8 +549,8 @@ impl DiskStore {
     /// Returns `true` if `object` has a committed state.
     #[must_use]
     pub fn contains(&self, object: ObjectId) -> bool {
-        if self.shared.tail.lock().contains_key(&object.as_raw()) {
-            return true;
+        if let Some((_, state)) = self.shared.tail.lock().get(&object.as_raw()) {
+            return state.is_some();
         }
         self.shared.object_path(object).exists()
     }
@@ -554,7 +562,14 @@ impl DiskStore {
     ///
     /// I/O failures listing the objects directory.
     pub fn object_ids(&self) -> Result<Vec<ObjectId>, DiskError> {
-        let mut ids: HashSet<u64> = self.shared.tail.lock().keys().copied().collect();
+        let tail: Vec<(u64, bool)> = self
+            .shared
+            .tail
+            .lock()
+            .iter()
+            .map(|(&raw, (_, state))| (raw, state.is_some()))
+            .collect();
+        let mut ids: HashSet<u64> = HashSet::new();
         for entry in fs::read_dir(self.shared.dir.join("objects"))? {
             let name = entry?.file_name();
             let name = name.to_string_lossy();
@@ -564,6 +579,13 @@ impl DiskStore {
                 .and_then(|digits| digits.parse::<u64>().ok())
             {
                 ids.insert(raw);
+            }
+        }
+        for (raw, live) in tail {
+            if live {
+                ids.insert(raw);
+            } else {
+                ids.remove(&raw);
             }
         }
         Ok(ids.into_iter().map(ObjectId::from_raw).collect())
@@ -583,7 +605,7 @@ impl DiskStore {
     /// I/O failures; on error before the commit marker the batch is
     /// guaranteed absent after recovery.
     pub fn commit_batch(&self, updates: Vec<(ObjectId, StoreBytes)>) -> Result<(), DiskError> {
-        self.shared.commit_batch_inner(updates, None)
+        self.shared.commit_batch_inner(written(updates), None)
     }
 
     /// [`commit_batch`](DiskStore::commit_batch), abandoned at `crash`
@@ -604,7 +626,8 @@ impl DiskStore {
         updates: Vec<(ObjectId, StoreBytes)>,
         crash: DiskCrashPoint,
     ) -> Result<(), DiskError> {
-        self.shared.commit_batch_inner(updates, Some(crash))
+        self.shared
+            .commit_batch_inner(written(updates), Some(crash))
     }
 
     /// Seals the active segment (if it holds any batches) and folds
@@ -629,6 +652,28 @@ impl DiskStore {
             }
         }
         shared.checkpoint_inner(None)
+    }
+}
+
+impl StableStorage for DiskStore {
+    fn load(&self, object: ObjectId) -> Result<Option<StoreBytes>, DiskError> {
+        self.read(object)
+    }
+
+    /// Deletes are logged as tombstone intents; the checkpointer and
+    /// replay remove the object's file.
+    fn commit(&self, changes: Vec<Change>) -> Result<(), DiskError> {
+        self.shared.commit_batch_inner(changes, None)
+    }
+
+    fn ids_in(&self, range: Range<u64>) -> Result<Vec<ObjectId>, DiskError> {
+        let mut ids: Vec<ObjectId> = self
+            .object_ids()?
+            .into_iter()
+            .filter(|object| range.contains(&object.as_raw()))
+            .collect();
+        ids.sort_unstable();
+        Ok(ids)
     }
 }
 
@@ -693,7 +738,7 @@ impl Shared {
 
     fn commit_batch_inner(
         &self,
-        updates: Vec<(ObjectId, StoreBytes)>,
+        updates: Vec<Change>,
         crash: Option<DiskCrashPoint>,
     ) -> Result<(), DiskError> {
         let mut group = self.group.lock();
@@ -779,14 +824,18 @@ impl Shared {
         let mut batch_bytes = vec![0u64; group.len()];
         for (i, batch) in group.iter().enumerate() {
             for (object, state) in &batch.updates {
-                batch_bytes[i] += append_record(
-                    &mut wal.active,
-                    &DiskRecord::Intent {
+                let record = match state {
+                    Some(state) => DiskRecord::Intent {
                         batch: batch.id,
                         object: object.as_raw(),
                         state: state.to_vec(),
                     },
-                )?;
+                    None => DiskRecord::Delete {
+                        batch: batch.id,
+                        object: object.as_raw(),
+                    },
+                };
+                batch_bytes[i] += append_record(&mut wal.active, &record)?;
             }
         }
         self.log_fsync(&wal.active, &obs)?;
@@ -965,7 +1014,7 @@ impl Shared {
         // Install the newest tail state of every object the folded
         // batches cover. Newer-than-watermark states stay in the tail:
         // their batches are still in the live suffix.
-        let covered: Vec<(u64, StoreBytes)> = self
+        let covered: Vec<(u64, Option<StoreBytes>)> = self
             .tail
             .lock()
             .iter()
@@ -974,7 +1023,10 @@ impl Shared {
             .collect();
         let objects_dir = self.dir.join("objects");
         for (object, state) in &covered {
-            install_object(&objects_dir, *object, state)?;
+            match state {
+                Some(state) => install_object(&objects_dir, *object, state)?,
+                None => remove_object(&objects_dir, *object)?,
+            }
         }
         if !covered.is_empty() {
             self.fsync_dir_counted(&objects_dir)?;
@@ -1147,6 +1199,23 @@ fn install_object(objects_dir: &Path, object: u64, state: &[u8]) -> Result<(), D
     Ok(())
 }
 
+/// Removes one deleted object's file, if it was ever installed. The
+/// caller batches the `objects/` directory fsync.
+fn remove_object(objects_dir: &Path, object: u64) -> Result<(), DiskError> {
+    match fs::remove_file(objects_dir.join(format!("o{object}.bin"))) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e.into()),
+        _ => Ok(()),
+    }
+}
+
+/// A plain write batch as [`Change`]s.
+fn written(updates: Vec<(ObjectId, StoreBytes)>) -> Vec<Change> {
+    updates
+        .into_iter()
+        .map(|(object, state)| (object, Some(state)))
+        .collect()
+}
+
 /// Streams CRC-framed records out of a log file while holding at most
 /// one frame in memory — recovery cost is bounded by the largest
 /// record, not the log length.
@@ -1246,7 +1315,7 @@ fn replay_file(
                 committed.insert(batch);
                 *max_batch = (*max_batch).max(batch);
             }
-            DiskRecord::Intent { batch, .. } => {
+            DiskRecord::Intent { batch, .. } | DiskRecord::Delete { batch, .. } => {
                 *max_batch = (*max_batch).max(batch);
             }
         }
@@ -1254,16 +1323,20 @@ fn replay_file(
     if !committed.is_empty() {
         let mut reader = FrameReader::open(path)?.expect("file existed a moment ago");
         while let Some(record) = reader.next()? {
-            if let DiskRecord::Intent {
-                batch,
-                object,
-                state,
-            } = record
-            {
-                if committed.contains(&batch) {
+            match record {
+                DiskRecord::Intent {
+                    batch,
+                    object,
+                    state,
+                } if committed.contains(&batch) => {
                     install_object(objects_dir, object, &state)?;
                     stats.objects += 1;
                 }
+                DiskRecord::Delete { batch, object } if committed.contains(&batch) => {
+                    remove_object(objects_dir, object)?;
+                    stats.objects += 1;
+                }
+                _ => {}
             }
         }
     }
@@ -1779,6 +1852,40 @@ mod tests {
         drop(store);
         let store = DiskStore::open(&dir).unwrap();
         assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"v3"[..]));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn deletes_hide_objects_through_checkpoint_and_replay() {
+        let dir = temp_dir();
+        let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
+        store
+            .commit_batch(vec![(o(1), bytes(b"a")), (o(2), bytes(b"b"))])
+            .unwrap();
+        store.checkpoint_now().unwrap();
+        assert!(dir.join("objects").join("o1.bin").exists());
+        // A tombstone hides the object at once, before any fold.
+        store
+            .commit(vec![(o(1), None), (o(3), Some(bytes(b"c")))])
+            .unwrap();
+        assert!(store.read(o(1)).unwrap().is_none());
+        assert!(!store.contains(o(1)));
+        assert_eq!(store.ids_in(0..10).unwrap(), vec![o(2), o(3)]);
+        // Replay of the unfolded tombstone removes the checkpointed file.
+        drop(store);
+        let store = DiskStore::open_with(&dir, manual(1 << 20)).unwrap();
+        assert!(store.read(o(1)).unwrap().is_none());
+        assert!(!dir.join("objects").join("o1.bin").exists());
+        // The checkpointer honours tombstones too, even for an object
+        // that never reached objects/.
+        store
+            .commit(vec![(o(2), None), (o(4), Some(bytes(b"d")))])
+            .unwrap();
+        store.commit(vec![(o(4), None)]).unwrap();
+        store.checkpoint_now().unwrap();
+        assert!(!dir.join("objects").join("o2.bin").exists());
+        assert!(!dir.join("objects").join("o4.bin").exists());
+        assert_eq!(store.ids_in(0..10).unwrap(), vec![o(3)]);
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -19,8 +19,8 @@
 //! * [`DiskStore`] — the same intentions-list protocol persisted to a
 //!   real directory (write-ahead log + per-object files), for
 //!   deployments wanting true on-disk durability;
-//! * [`DurableLog`] — a generic append-only crash-surviving log used by
-//!   the distributed commit protocol for prepare/decision records;
+//! * [`StableStorage`] — the trait both stable stores implement: keyed
+//!   reads, atomic batches of writes and deletes, id-range listing;
 //! * [`VersionChains`] + [`StampClock`] — short per-object version
 //!   chains and the published per-colour commit frontier that let
 //!   declared read-only actions take consistent snapshots without
@@ -49,13 +49,13 @@ mod disk;
 mod stable;
 mod versions;
 mod volatile;
-mod wal;
 
 pub use disk::{DiskCrashPoint, DiskError, DiskStore, DiskStoreOptions, ReplayStats};
-pub use stable::{BatchId, CommitCrashPoint, Crashed, LogRecord, StableStore};
+pub use stable::{
+    BatchId, Change, CommitCrashPoint, Crashed, LogRecord, StableStorage, StableStore,
+};
 pub use versions::{GcStats, SnapshotStamps, StampClock, VersionChains, VisibleVersion};
 pub use volatile::VolatileStore;
-pub use wal::DurableLog;
 
 /// The byte-buffer type object states are stored as (cheaply clonable).
 pub type StoreBytes = bytes::Bytes;

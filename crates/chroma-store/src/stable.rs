@@ -5,7 +5,7 @@
 //! object states) and the *intentions log*. A batch of updates commits
 //! in the classic sequence:
 //!
-//! 1. append an intent record per object (new state);
+//! 1. append an intent record per object (its new state, or a deletion);
 //! 2. append a single commit record — **this is the atomic commit
 //!    point**;
 //! 3. install the intents into the pages;
@@ -20,12 +20,64 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::ops::Range;
 
 use chroma_base::ObjectId;
 use chroma_obs::{EventKind, Obs, ObsCell, Observable};
 use parking_lot::Mutex;
 
-use crate::StoreBytes;
+use crate::{DiskError, StoreBytes};
+
+/// One change in a stable-storage batch: the object's new state, or
+/// `None` to delete it.
+pub type Change = (ObjectId, Option<StoreBytes>);
+
+/// Stable storage as a protocol node uses it: keyed reads, atomic
+/// batches of writes and deletes, and listing the objects in an id
+/// range.
+///
+/// Implemented by [`StableStore`] (the simulator's model, infallible)
+/// and by [`DiskStore`](crate::DiskStore) (real files, fsynced), so the
+/// same node code runs on both.
+pub trait StableStorage {
+    /// The committed state of `object`, if any.
+    ///
+    /// # Errors
+    ///
+    /// [`DiskError`] if the medium cannot be read.
+    fn load(&self, object: ObjectId) -> Result<Option<StoreBytes>, DiskError>;
+
+    /// Commits `changes` atomically: after a crash either all of them
+    /// are visible or none. An empty batch is vacuously durable and
+    /// costs nothing.
+    ///
+    /// # Errors
+    ///
+    /// [`DiskError`] on an I/O failure; the batch is then absent after
+    /// recovery unless its commit point was reached.
+    fn commit(&self, changes: Vec<Change>) -> Result<(), DiskError>;
+
+    /// The committed objects whose raw id lies in `range`, ascending.
+    ///
+    /// # Errors
+    ///
+    /// [`DiskError`] if the medium cannot be listed.
+    fn ids_in(&self, range: Range<u64>) -> Result<Vec<ObjectId>, DiskError>;
+}
+
+impl<T: StableStorage + ?Sized> StableStorage for &T {
+    fn load(&self, object: ObjectId) -> Result<Option<StoreBytes>, DiskError> {
+        (**self).load(object)
+    }
+
+    fn commit(&self, changes: Vec<Change>) -> Result<(), DiskError> {
+        (**self).commit(changes)
+    }
+
+    fn ids_in(&self, range: Range<u64>) -> Result<Vec<ObjectId>, DiskError> {
+        (**self).ids_in(range)
+    }
+}
 
 /// Identifier of one committed (or attempted) batch of updates.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -54,8 +106,8 @@ pub enum LogRecord {
         batch: BatchId,
         /// The object to be updated.
         object: ObjectId,
-        /// The state to install.
-        state: StoreBytes,
+        /// The state to install; `None` deletes the object.
+        state: Option<StoreBytes>,
     },
     /// `batch` is committed: its intents must be installed.
     Commit {
@@ -196,7 +248,19 @@ impl StableStore {
         updates: Vec<(ObjectId, StoreBytes)>,
         crash_at: impl Into<Option<CommitCrashPoint>>,
     ) -> Result<BatchId, Crashed> {
-        let crash_at = crash_at.into();
+        let changes = updates
+            .into_iter()
+            .map(|(object, state)| (object, Some(state)))
+            .collect();
+        self.commit_changes(changes, crash_at.into())
+    }
+
+    /// The intentions-list sequence over writes and deletes.
+    fn commit_changes(
+        &self,
+        updates: Vec<Change>,
+        crash_at: Option<CommitCrashPoint>,
+    ) -> Result<BatchId, Crashed> {
         let mut inner = self.inner.lock();
         let batch = BatchId(inner.next_batch);
         inner.next_batch += 1;
@@ -224,7 +288,7 @@ impl StableStore {
         }
         let installed = updates.len() as u64;
         for (object, state) in updates {
-            inner.pages.insert(object, state);
+            install(&mut inner.pages, object, state);
         }
         if crash_at == Some(CommitCrashPoint::AfterInstall) {
             return Err(Crashed);
@@ -260,7 +324,7 @@ impl StableStore {
                 _ => None,
             })
             .collect();
-        let to_install: Vec<(BatchId, ObjectId, StoreBytes)> = inner
+        let to_install: Vec<(BatchId, ObjectId, Option<StoreBytes>)> = inner
             .log
             .iter()
             .filter_map(|r| match r {
@@ -277,7 +341,7 @@ impl StableStore {
         let reinstalled = to_install.len() as u64;
         let mut finished: Vec<BatchId> = Vec::new();
         for (batch, object, state) in to_install {
-            inner.pages.insert(object, state);
+            install(&mut inner.pages, object, state);
             if !finished.contains(&batch) {
                 finished.push(batch);
             }
@@ -323,6 +387,41 @@ impl StableStore {
             // yet installed (mid-flight from this store's perspective).
             committed.contains(&batch) && !installed.contains(&batch)
         });
+    }
+}
+
+/// Installs one intent into the pages: a new state, or a deletion.
+fn install(pages: &mut HashMap<ObjectId, StoreBytes>, object: ObjectId, state: Option<StoreBytes>) {
+    match state {
+        Some(state) => pages.insert(object, state),
+        None => pages.remove(&object),
+    };
+}
+
+impl StableStorage for StableStore {
+    fn load(&self, object: ObjectId) -> Result<Option<StoreBytes>, DiskError> {
+        Ok(self.read(object))
+    }
+
+    fn commit(&self, changes: Vec<Change>) -> Result<(), DiskError> {
+        if !changes.is_empty() {
+            self.commit_changes(changes, None)
+                .expect("no crash point given");
+        }
+        Ok(())
+    }
+
+    fn ids_in(&self, range: Range<u64>) -> Result<Vec<ObjectId>, DiskError> {
+        let mut ids: Vec<ObjectId> = self
+            .inner
+            .lock()
+            .pages
+            .keys()
+            .copied()
+            .filter(|object| range.contains(&object.as_raw()))
+            .collect();
+        ids.sort_unstable();
+        Ok(ids)
     }
 }
 
@@ -444,6 +543,25 @@ mod tests {
         store.recover();
         assert_eq!(store.read(o(1)).as_deref(), Some(&[1u8][..]));
         assert_eq!(store.page_count(), 1);
+    }
+
+    #[test]
+    fn deletes_commit_and_recover_like_writes() {
+        let store = StableStore::new();
+        store.commit_batch(vec![(o(1), bytes(1)), (o(2), bytes(2))]);
+        StableStorage::commit(&store, vec![(o(1), None)]).unwrap();
+        assert!(store.read(o(1)).is_none());
+        assert_eq!(store.ids_in(0..10).unwrap(), vec![o(2)]);
+        // A delete interrupted after its commit record completes on
+        // recovery.
+        let _ = store.commit_changes(
+            vec![(o(2), None)],
+            Some(CommitCrashPoint::AfterCommitRecord),
+        );
+        assert!(store.read(o(2)).is_some());
+        store.recover();
+        assert!(store.read(o(2)).is_none());
+        assert_eq!(store.log_len(), 0);
     }
 
     #[test]

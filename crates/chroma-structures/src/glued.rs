@@ -358,10 +358,9 @@ impl GluedStep<'_, '_> {
     where
         T: DeserializeOwned + Serialize,
     {
-        let mut value: T = self.read(object)?;
-        let result = f(&mut value);
-        self.write(object, &value)?;
-        Ok(result)
+        // `modify_in` write-locks before reading: two concurrent steps
+        // that read-locked first would deadlock trying to upgrade.
+        self.scope.modify_in(self.update, object, f)
     }
 }
 

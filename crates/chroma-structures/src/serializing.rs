@@ -262,9 +262,11 @@ impl SerialStep<'_, '_> {
     where
         T: DeserializeOwned + Serialize,
     {
-        let mut value: T = self.read(object)?;
-        let result = f(&mut value);
-        self.write(object, &value)?;
-        Ok(result)
+        // Fence first, then `modify_in` write-locks before reading:
+        // two concurrent steps that read-locked first would deadlock
+        // trying to upgrade.
+        self.scope
+            .lock(self.fence, object, LockMode::ExclusiveRead)?;
+        self.scope.modify_in(self.update, object, f)
     }
 }

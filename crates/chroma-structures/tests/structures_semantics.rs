@@ -163,6 +163,30 @@ fn serializing_concurrent_steps_serialize_on_conflicts() {
 // ---------------------------------------------------------------------
 
 #[test]
+fn glued_concurrent_contributors_serialize_on_conflicts() {
+    let rt = Runtime::builder().build();
+    let o = rt.create_object(&0i64).unwrap();
+    let group = Arc::new(GluedGroup::begin(&rt).unwrap());
+    let threads: Vec<_> = (0..4)
+        .map(|_| {
+            let group = Arc::clone(&group);
+            std::thread::spawn(move || {
+                for _ in 0..10 {
+                    group
+                        .contribute(|s| s.modify(o, |v: &mut i64| *v += 1))
+                        .unwrap();
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    Arc::try_unwrap(group).unwrap().end().unwrap();
+    assert_eq!(rt.read_committed::<i64>(o).unwrap(), 40);
+}
+
+#[test]
 fn glued_hand_over_protects_selected_objects_only() {
     let rt = rt_fast();
     let kept = rt.create_object(&0i64).unwrap();

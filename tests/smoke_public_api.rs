@@ -215,8 +215,8 @@ fn transport_boundary_through_the_facade() {
 
     // `Node::builder().transport(..)` is the process-host construction
     // path: identity comes from the transport.
-    let mut coord = Node::builder().transport(&t1).build().unwrap();
-    let mut worker = Node::builder().transport(&t2).build().unwrap();
+    let mut coord = Node::builder().transport(&t1).build();
+    let mut worker = Node::builder().transport(&t2).build();
 
     let txn = TxnId(1);
     let object = ObjectId::from_raw(5_000);
