@@ -5,9 +5,10 @@
 //! atomic actions against its own object, and reports per thread-count:
 //!
 //! * `commits_per_sec` — committed top-level actions per second;
-//! * `fsyncs_per_commit` — log fsyncs amortized over commits (the
-//!   ungrouped protocol pays exactly 2.0; group commit shares both the
-//!   intents fsync and the marker fsync across a whole group);
+//! * `fsyncs_per_commit` — log fsyncs amortized over commits (a lone
+//!   committer pays exactly 1.0: its intents and commit marker reach
+//!   the log in one write and one fsync; group commit shares that
+//!   fsync across a whole group);
 //! * `mean_group_size` / `max_group_size` — from the
 //!   `store.group_size` histogram.
 //!
@@ -18,9 +19,10 @@
 //!
 //! Results are written as JSON to `BENCH_commit.json` (override with
 //! `--out <path>`). `--smoke` shrinks the workload for CI. Exits
-//! non-zero if the 8-thread run fails to amortize fsyncs below 2.0 per
-//! commit or the replay bound is breached, so CI catches a regression
-//! in either.
+//! non-zero if the 1-thread run pays anything but exactly 1.0 log
+//! fsyncs per commit, if the 8-thread run fails to amortize fsyncs
+//! below 1.0 per commit, or if the replay bound is breached, so CI
+//! catches a regression in any of them.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
@@ -35,7 +37,7 @@ use chroma_store::{DiskStore, DiskStoreOptions, StoreBytes};
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The fsyncs-per-commit ceiling the most-contended run must beat.
-const FSYNC_BUDGET_AT_8: f64 = 2.0;
+const FSYNC_BUDGET_AT_8: f64 = 1.0;
 
 struct RunResult {
     threads: usize,
@@ -248,6 +250,20 @@ fn main() {
         .expect("write results");
     println!("wrote {out_path}");
 
+    let at_1 = results
+        .iter()
+        .find(|r| r.threads == 1)
+        .expect("1-thread run present");
+    // A lone committer never shares a group: every commit is one
+    // write and one fsync.
+    if at_1.fsyncs != at_1.commits {
+        eprintln!(
+            "FAIL: {:.4} fsyncs/commit at 1 thread (expected exactly 1.0) — \
+             a lone commit must pay one log fsync",
+            at_1.fsyncs_per_commit()
+        );
+        std::process::exit(1);
+    }
     let at_8 = results
         .iter()
         .find(|r| r.threads == 8)

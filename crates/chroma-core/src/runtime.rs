@@ -653,7 +653,9 @@ impl Runtime {
     /// A small, growing backoff is applied between attempts: a fresh
     /// attempt is always the *youngest* action and would otherwise be
     /// re-selected as victim immediately, livelocking under contention.
-    /// (Prefer [`ActionScope::modify`], which takes the write lock up
+    /// Each backoff is jittered to between half and one and a half times
+    /// its step, seeded from the runtime's action-id counter, so victims
+    /// of one conflict do not retry in lock step. (Prefer [`ActionScope::modify`], which takes the write lock up
     /// front, over read-then-write bodies that provoke upgrade
     /// deadlocks in the first place.)
     ///
@@ -671,7 +673,9 @@ impl Runtime {
             match self.atomic(&mut body) {
                 Err(e) if e.is_deadlock_victim() => {
                     last = Some(e);
-                    let backoff_us = 50u64.saturating_mul(1 << attempt.min(8));
+                    let step_us = 50u64.saturating_mul(1 << attempt.min(8));
+                    let seed = self.inner.next_action.load(Ordering::Relaxed);
+                    let backoff_us = step_us / 2 + mix64(seed) % step_us;
                     std::thread::sleep(Duration::from_micros(backoff_us));
                 }
                 other => return other,
@@ -1266,6 +1270,14 @@ impl Observable for Runtime {
         self.inner.locks.install_obs(obs.clone());
         self.inner.stable.install_obs(obs);
     }
+}
+
+/// splitmix64's finaliser: a well-spread hash of `seed`.
+fn mix64(seed: u64) -> u64 {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// Encodes a colour set as the bitmask traces carry (bit *i* = colour

@@ -168,10 +168,11 @@ fn cost_per_txn_does_not_grow_with_history() {
         first, last,
         "(fsyncs, log bytes) per node: first vs last {WINDOW} txns"
     );
-    // one batch at the coordinator, two at each participant
-    assert_eq!(first[0].0, 2 * WINDOW);
-    assert_eq!(first[1].0, 4 * WINDOW);
-    assert_eq!(first[2].0, 4 * WINDOW);
+    // one batch at the coordinator, two at each participant, one
+    // fsync per batch
+    assert_eq!(first[0].0, WINDOW);
+    assert_eq!(first[1].0, 2 * WINDOW);
+    assert_eq!(first[2].0, 2 * WINDOW);
 }
 
 #[test]
@@ -190,7 +191,7 @@ fn dispatches_that_change_nothing_pay_no_fsync() {
     assert_eq!(cluster.step(), Some(coordinator), "second vote");
     assert_eq!(
         fsyncs(&cluster),
-        before + 2,
+        before + 1,
         "the commit record is one batch"
     );
     // deliver the two decisions: the participants ack
@@ -217,6 +218,6 @@ fn dispatches_that_change_nothing_pay_no_fsync() {
     assert_eq!(cluster.node(2).store.log_fsync_count(), participant);
     // a clean exit makes the pending delete durable
     cluster.node(1).flush();
-    assert_eq!(fsyncs(&cluster), before + 2);
+    assert_eq!(fsyncs(&cluster), before + 1);
     assert_eq!(cluster.node(1).coordinator_outcome(txn), None);
 }

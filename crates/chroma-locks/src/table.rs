@@ -30,6 +30,18 @@
 //! condvar, so a wake-up can never be lost. Lock ordering is strictly
 //! `shard → registry`, never the reverse, and no two shard locks are
 //! ever held at once.
+//!
+//! # Victims yield
+//!
+//! Each deadlock costs exactly one victim. A victim's retry is a fresh,
+//! younger action; if it re-took its first lock before the cycle's
+//! survivor — parked on that very lock — woke up, it would close the
+//! same cycle again and lose again, round after round. So a victim
+//! records the survivor (the cycle member waiting on it), and
+//! [`discard_action`](LockTable::discard_action) returns only once
+//! that survivor has re-examined its wait: it was granted, or it
+//! registered a wait on someone else. The yield is bounded (50 ms), so
+//! a survivor that never gets to run cannot stall the victim.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -53,6 +65,13 @@ pub const MAX_LOCK_SHARDS: usize = 64;
 
 /// Multiplier for Fibonacci hashing of ids onto shards/stripes.
 const HASH_MULT: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Longest a discarded deadlock victim waits for its survivor to
+/// re-examine its wait (see the module docs).
+const VICTIM_YIELD_LIMIT: Duration = Duration::from_millis(50);
+
+/// Poll interval of a victim's yield.
+const VICTIM_YIELD_POLL: Duration = Duration::from_micros(20);
 
 /// How an acquisition request concluded.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -187,6 +206,9 @@ pub struct LockTable<P> {
     /// [`LockTable::try_acquire`] — snapshot reads must bypass the
     /// lock table entirely.
     lockless: Mutex<HashSet<ActionId>>,
+    /// Deadlock victim → the survivor its discard yields to. A leaf
+    /// lock: nothing else is taken while it is held.
+    yields: Mutex<HashMap<ActionId, ActionId>>,
 }
 
 /// Aggregate waiting statistics of a [`LockTable`], from
@@ -237,6 +259,7 @@ impl<P> LockTable<P> {
             waits_started: AtomicU64::new(0),
             wait_micros: AtomicU64::new(0),
             lockless: Mutex::new(HashSet::new()),
+            yields: Mutex::new(HashMap::new()),
         }
     }
 
@@ -370,8 +393,10 @@ impl<P> LockTable<P> {
     /// (it may have been granted or given up since the cycle was
     /// observed), so interrupts can never leak onto reused ids.
     ///
+    /// Returns whether the interrupt was planted.
+    ///
     /// Must be called with no shard lock held.
-    fn plant_interrupt(&self, victim: ActionId, interrupt: Interrupt) {
+    fn plant_interrupt(&self, victim: ActionId, interrupt: Interrupt) -> bool {
         for shard in self.shards.iter() {
             let mut state = shard.state.lock();
             if state.waiting.contains(&victim) {
@@ -379,8 +404,46 @@ impl<P> LockTable<P> {
                     self.interrupts_outstanding.fetch_add(1, Ordering::Relaxed);
                 }
                 shard.changed.notify_all();
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Victimises the `report`'s victim — told by the caller, or by a
+    /// planted interrupt when `remote` — and records the survivor its
+    /// discard must yield to.
+    fn victimise(&self, report: &crate::DeadlockReport, remote: bool) {
+        if remote && !self.plant_interrupt(report.victim, Interrupt::DeadlockVictim) {
+            return;
+        }
+        // The cycle runs in wait order from the victim, so its last
+        // member is the one waiting on the victim.
+        if let Some(&survivor) = report.cycle.last().filter(|&&s| s != report.victim) {
+            self.yields.lock().insert(report.victim, survivor);
+        }
+    }
+
+    /// Holds a discarded victim back until `survivor` has re-examined
+    /// its wait — it is no longer parked, or it has registered a wait
+    /// on someone else (the victim's discard removed every edge to the
+    /// victim) — or `VICTIM_YIELD_LIMIT` passes.
+    fn yield_to(&self, survivor: ActionId) {
+        let deadline = Instant::now() + VICTIM_YIELD_LIMIT;
+        let Some(shard) = self
+            .shards
+            .iter()
+            .find(|shard| shard.state.lock().waiting.contains(&survivor))
+        else {
+            return;
+        };
+        while Instant::now() < deadline {
+            if !shard.state.lock().waiting.contains(&survivor)
+                || self.graph.lock().is_waiting(survivor)
+            {
                 return;
             }
+            std::thread::sleep(VICTIM_YIELD_POLL);
         }
     }
 
@@ -531,8 +594,8 @@ impl<P: LockPolicy> LockTable<P> {
                     // blockers; detection runs in the shared graph
                     // (shard → graph lock order).
                     let blockers = Self::blockers(&state, ancestry, action, object, colour, mode);
-                    let mut victim_is_self = false;
-                    let mut remote_victims: Vec<ActionId> = Vec::new();
+                    let mut self_victim = None;
+                    let mut remote_victims: Vec<crate::DeadlockReport> = Vec::new();
                     {
                         let mut graph = self.graph.lock();
                         for &old in &registered {
@@ -543,14 +606,15 @@ impl<P: LockPolicy> LockTable<P> {
                             registered.push(blocker);
                             if let Some(report) = graph.add_wait(action, blocker, true) {
                                 if report.victim == action {
-                                    victim_is_self = true;
+                                    self_victim = Some(report);
                                 } else if victimised.insert(report.victim) {
-                                    remote_victims.push(report.victim);
+                                    remote_victims.push(report);
                                 }
                             }
                         }
                     }
-                    if victim_is_self {
+                    if let Some(report) = self_victim {
+                        self.victimise(&report, false);
                         break Err(LockError::DeadlockVictim { object });
                     }
                     if !remote_victims.is_empty() {
@@ -559,8 +623,8 @@ impl<P: LockPolicy> LockTable<P> {
                         // first (never two shard locks at once) and
                         // re-evaluate from the top afterwards.
                         drop(state);
-                        for victim in remote_victims {
-                            self.plant_interrupt(victim, Interrupt::DeadlockVictim);
+                        for report in &remote_victims {
+                            self.victimise(report, true);
                         }
                         state = shard.state.lock();
                         continue;
@@ -653,7 +717,7 @@ impl<P: LockPolicy> LockTable<P> {
         let report = self.graph.lock().add_wait(waiter, target, false);
         if let Some(report) = &report {
             if report.victim != waiter {
-                self.plant_interrupt(report.victim, Interrupt::DeadlockVictim);
+                self.victimise(report, true);
             }
         }
         report
@@ -805,7 +869,9 @@ impl<P: LockPolicy> LockTable<P> {
 
     /// Discards every lock `action` holds, in every colour and mode (the
     /// action aborted). Ancestors holding the same locks keep them.
-    /// Returns the objects whose lock sets changed.
+    /// Returns the objects whose lock sets changed. A deadlock victim
+    /// returns only after its survivor has re-examined its wait (see
+    /// the module docs).
     pub fn discard_action(&self, action: ActionId) -> Vec<ObjectId> {
         let mask = self.take_mask(action);
         let mut touched = Vec::new();
@@ -844,6 +910,10 @@ impl<P: LockPolicy> LockTable<P> {
                     colour,
                 });
             }
+        }
+        let survivor = self.yields.lock().remove(&action);
+        if let Some(survivor) = survivor {
+            self.yield_to(survivor);
         }
         touched
     }
@@ -1230,6 +1300,37 @@ mod tests {
         assert!(matches!(r2, Err(LockError::DeadlockVictim { .. })));
         // Release a(2)'s locks as its abort would; a(1) then proceeds.
         table.discard_action(a(2));
+        assert!(h1.join().unwrap().is_ok());
+    }
+
+    #[test]
+    fn discarded_victim_yields_its_lock_to_the_survivor() {
+        let table = Arc::new(LockTable::new(ClassicPolicy));
+        let ctx = FlatAncestry::new();
+        table
+            .try_acquire(&ctx, a(1), o(1), red(), LockMode::Write)
+            .unwrap();
+        table
+            .try_acquire(&ctx, a(2), o(2), red(), LockMode::Write)
+            .unwrap();
+        let t1 = Arc::clone(&table);
+        let c1 = ctx.clone();
+        let h1 =
+            std::thread::spawn(move || t1.acquire(&c1, a(1), o(2), red(), LockMode::Write, None));
+        while table.waiting_count() == 0 {
+            std::thread::yield_now();
+        }
+        let r2 = table.acquire(&ctx, a(2), o(1), red(), LockMode::Write, None);
+        assert!(matches!(r2, Err(LockError::DeadlockVictim { .. })));
+        table.discard_action(a(2));
+        // The victim's immediate retry must not take o2 back ahead of
+        // the parked survivor and close the same cycle again.
+        assert!(
+            table
+                .try_acquire(&ctx, a(3), o(2), red(), LockMode::Write)
+                .is_err(),
+            "the retry overtook the survivor"
+        );
         assert!(h1.join().unwrap().is_ok());
     }
 

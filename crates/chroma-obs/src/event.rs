@@ -377,9 +377,9 @@ pub enum EventKind {
         objects: u64,
     },
     /// A leader flushed a whole group of pending batches with one
-    /// intents-fsync and one marker-fsync (group commit). Every batch
-    /// in the group keeps its own commit marker; this event records
-    /// the shared durability point that covered them all.
+    /// write and one fsync (group commit). Every batch in the group
+    /// keeps its own commit marker; this event records the shared
+    /// durability point that covered them all.
     DiskGroupCommit {
         /// How many batches the group contained.
         batches: u64,

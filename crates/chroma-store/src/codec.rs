@@ -84,9 +84,23 @@ impl de::Error for CodecError {
 /// Returns [`CodecError`] if the value cannot be represented (for
 /// example a sequence of unknown length).
 pub fn to_bytes<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, CodecError> {
-    let mut encoder = Encoder { out: Vec::new() };
-    value.serialize(&mut encoder)?;
-    Ok(encoder.out)
+    let mut out = Vec::new();
+    encode_into(value, &mut out)?;
+    Ok(out)
+}
+
+/// Encodes a value, appending its bytes to `out` (on error `out` may
+/// hold a partial encoding).
+pub(crate) fn encode_into<T: Serialize + ?Sized>(
+    value: &T,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    let mut encoder = Encoder {
+        out: std::mem::take(out),
+    };
+    let result = value.serialize(&mut encoder);
+    *out = encoder.out;
+    result
 }
 
 /// Decodes a value from bytes produced by [`to_bytes`] for the same type.

@@ -4,8 +4,8 @@
 //!
 //! The in-memory [`StableStore`] *models* stable storage for simulation
 //! and fault-injection; `DiskStore` *is* stable storage: updates go
-//! through a write-ahead intentions log that is fsynced before the
-//! commit marker, and [`DiskStore::open`] replays the log — completing
+//! through a write-ahead intentions log whose commit markers follow
+//! their intents, and [`DiskStore::open`] replays the log — completing
 //! committed batches and discarding uncommitted ones — so a process
 //! crash at any point leaves an all-or-nothing outcome.
 //!
@@ -43,17 +43,28 @@
 //!
 //! # Group commit
 //!
-//! Concurrent committers do not serialise through two fsyncs each.
+//! Concurrent committers do not serialise through an fsync each.
 //! Arriving batches join a *pending group*; the first arrival becomes
-//! the leader and drains the whole queue, appending every batch's
-//! intents, paying **one** intents-fsync, appending one commit marker
-//! *per batch* (so the commit point stays per-batch and recovery stays
-//! all-or-nothing for each), then paying **one** marker-fsync for the
-//! lot. Followers park on a condvar until the leader posts their
-//! batch's outcome. Under contention the amortised fsync cost per
-//! batch approaches 2/N; a lone committer pays exactly the old two.
-//! Each flushed group emits a `DiskGroupCommit` event and feeds the
-//! `store.group_size` histogram.
+//! the leader and drains the whole queue. It frames every batch's
+//! intents, then one commit marker *per batch* (so atomicity stays
+//! per-batch and recovery stays all-or-nothing for each), into one
+//! buffer, appends it with one write, and pays **one** fsync for the
+//! lot — the group's commit point. Followers park on a condvar until
+//! the leader posts their batch's outcome. Under contention the
+//! amortised fsync cost per batch approaches 1/N; a lone committer
+//! pays exactly one. Each flushed group emits a `DiskGroupCommit`
+//! event and feeds the `store.group_size` histogram.
+//!
+//! No fsync separates intents from markers because the framing already
+//! tells a complete batch from a damaged one. A process crash can only
+//! tear the tail: the torn frame and every marker after it are
+//! dropped. A power loss during the fsync may persist any subset of the
+//! group's pages; a lost intent page then reads either as a complete
+//! frame with a bad checksum (`open` fails with
+//! [`DiskError::CorruptLog`]) or as framing that runs past the end of
+//! the file (a torn tail, which drops the markers behind it). Replay
+//! honours a marker only if every frame before it decoded, so no batch
+//! is ever applied in part.
 //!
 //! # Log format
 //!
@@ -161,10 +172,11 @@ pub enum DiskCrashPoint {
     /// Before any intent reaches the log: the batch simply never
     /// happened.
     BeforeIntents,
-    /// After the intents are appended and fsynced but before the
-    /// commit marker: recovery must discard the batch.
+    /// The group's intents are appended without their commit markers
+    /// (a fault-injection state only: a real flush writes intents and
+    /// markers in one write): recovery must discard the batch.
     AfterIntents,
-    /// After the commit marker is fsynced (the commit point) but
+    /// After the group's single write and fsync (the commit point) but
     /// before the committed states are published to the in-memory
     /// tail: recovery must complete the batch.
     AfterCommitRecord,
@@ -361,7 +373,7 @@ struct Shared {
     ckpt_signal: Condvar,
     /// Batches committed but not yet folded behind the watermark.
     backlog: AtomicU64,
-    /// Fsyncs paid on the active segment (two per flushed group).
+    /// Fsyncs paid on the active segment (one per flushed group).
     log_fsyncs: AtomicU64,
     /// Directory fsyncs (manifest renames, segment creation, object
     /// installs).
@@ -470,7 +482,7 @@ impl DiskStore {
         })
     }
 
-    /// Total fsyncs paid on the active segment since `open` — two per
+    /// Total fsyncs paid on the active segment since `open` — one per
     /// flushed group, so `log_fsync_count() / commits` is the
     /// amortised cost group commit exists to shrink. Seal, manifest
     /// and install fsyncs are not counted (see
@@ -591,14 +603,14 @@ impl DiskStore {
         Ok(ids.into_iter().map(ObjectId::from_raw).collect())
     }
 
-    /// Atomically commits a batch of updates: intents are appended and
-    /// fsynced, the commit marker is appended and fsynced (the commit
-    /// point), then the states are published to the in-memory tail —
-    /// installs into `objects/` happen later, on the checkpointer.
-    /// Concurrent callers share those fsyncs via group commit (see the
-    /// module docs); each batch keeps its own commit marker, so
-    /// atomicity is still per-batch. An empty batch is vacuously
-    /// durable and pays no fsyncs at all.
+    /// Atomically commits a batch of updates: the intents and the
+    /// commit marker are appended in one write and fsynced once (the
+    /// commit point), then the states are published to the in-memory
+    /// tail — installs into `objects/` happen later, on the
+    /// checkpointer. Concurrent callers share that write and fsync via
+    /// group commit (see the module docs); each batch keeps its own
+    /// commit marker, so atomicity is still per-batch. An empty batch
+    /// is vacuously durable and pays no fsync at all.
     ///
     /// # Errors
     ///
@@ -747,7 +759,7 @@ impl Shared {
         }
         if updates.is_empty() && crash.is_none() {
             // Vacuously durable: nothing needs logging, so the batch
-            // must not pay (or make a whole group pay) any fsyncs.
+            // must not pay (or make a whole group pay) an fsync.
             return Ok(());
         }
         let id = group.next_batch;
@@ -802,10 +814,10 @@ impl Shared {
         outcome.into_result()
     }
 
-    /// Flushes one drained group: all intents, one fsync, one commit
-    /// marker per batch, one fsync, publish to the tail, seal the
-    /// active segment if it is full. Injected crashes take effect at
-    /// the *earliest* stage requested by any batch in the group.
+    /// Flushes one drained group: all intents, then one commit marker
+    /// per batch, in one write and one fsync; publish to the tail; seal
+    /// the active segment if it is full. Injected crashes take effect
+    /// at the *earliest* stage requested by any batch in the group.
     #[allow(clippy::too_many_lines)]
     fn flush_group(&self, group: &[PendingBatch]) -> Result<(), DiskError> {
         let obs = self.obs.get();
@@ -817,10 +829,10 @@ impl Shared {
             return Err(DiskError::Crashed(DiskCrashPoint::BeforeIntents));
         }
 
-        let mut wal = self.wal.lock();
-        // 1-2. Log every batch's intents, fsync once; then every
-        // batch's commit marker, fsync once (the group's commit point,
-        // inside the active segment).
+        // 1-2. Frame every batch's intents, then every batch's commit
+        // marker, into one buffer; append it with one write and fsync
+        // once (the group's commit point, inside the active segment).
+        let mut frames = Vec::new();
         let mut batch_bytes = vec![0u64; group.len()];
         for (i, batch) in group.iter().enumerate() {
             for (object, state) in &batch.updates {
@@ -835,17 +847,19 @@ impl Shared {
                         object: object.as_raw(),
                     },
                 };
-                batch_bytes[i] += append_record(&mut wal.active, &record)?;
+                batch_bytes[i] += frame_record(&mut frames, &record)?;
             }
         }
-        self.log_fsync(&wal.active, &obs)?;
+        let intents_end = frames.len();
+        for (i, batch) in group.iter().enumerate() {
+            batch_bytes[i] += frame_record(&mut frames, &DiskRecord::Commit { batch: batch.id })?;
+        }
+        let mut wal = self.wal.lock();
         if crash == Some(DiskCrashPoint::AfterIntents) {
+            wal.active.write_all(&frames[..intents_end])?;
             return Err(DiskError::Crashed(DiskCrashPoint::AfterIntents));
         }
-        for (i, batch) in group.iter().enumerate() {
-            batch_bytes[i] +=
-                append_record(&mut wal.active, &DiskRecord::Commit { batch: batch.id })?;
-        }
+        wal.active.write_all(&frames)?;
         self.log_fsync(&wal.active, &obs)?;
         let mut records = 0u64;
         let mut bytes = 0u64;
@@ -1102,17 +1116,18 @@ fn fsync_timed(file: &File, obs: &Obs) -> Result<(), DiskError> {
     Ok(())
 }
 
-fn append_record(log: &mut File, record: &DiskRecord) -> Result<u64, DiskError> {
-    let bytes = codec::to_bytes(record).map_err(|e| DiskError::CorruptLog(e.to_string()))?;
-    let len =
-        u32::try_from(bytes.len()).map_err(|_| DiskError::CorruptLog("record too large".into()))?;
-    let mut frame = Vec::with_capacity(bytes.len() + 8);
-    frame.extend_from_slice(&len.to_le_bytes());
-    frame.extend_from_slice(&bytes);
-    let crc = crc32(&frame);
-    log.write_all(&frame)?;
-    log.write_all(&crc.to_le_bytes())?;
-    Ok(frame.len() as u64 + 4)
+/// Appends `record` to `frames` as `[len][payload][crc32]`, returning
+/// the frame's length.
+fn frame_record(frames: &mut Vec<u8>, record: &DiskRecord) -> Result<u64, DiskError> {
+    let start = frames.len();
+    frames.extend_from_slice(&[0; 4]);
+    codec::encode_into(record, frames).map_err(|e| DiskError::CorruptLog(e.to_string()))?;
+    let len = u32::try_from(frames.len() - start - 4)
+        .map_err(|_| DiskError::CorruptLog("record too large".into()))?;
+    frames[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&frames[start..]);
+    frames.extend_from_slice(&crc.to_le_bytes());
+    Ok((frames.len() - start) as u64)
 }
 
 fn segment_file_name(seq: u64) -> String {
@@ -1433,24 +1448,28 @@ fn recover(dir: &Path) -> Result<Recovered, DiskError> {
     }
 
     // Fast path: a lone, empty active segment can simply be reused —
-    // restarting an idle store must not churn the manifest.
+    // restarting an idle store must not churn the manifest. A segment
+    // holding torn bytes past the magic is not empty: appending behind
+    // them would hide every later frame from replay.
     if manifest.is_some() && live.len() == 1 && last_segment_records == 0 && stats.records == 0 {
         let seq = live[0];
         let active_file = OpenOptions::new()
             .append(true)
             .open(segments_dir.join(segment_file_name(seq)))?;
-        return Ok(Recovered {
-            active: SegmentInfo {
-                seq,
-                batches: 0,
-                bytes: 0,
-                max_batch: 0,
-            },
-            active_file,
-            max_batch,
-            stats,
-            dir_fsyncs,
-        });
+        if active_file.metadata()?.len() == LOG_MAGIC.len() as u64 {
+            return Ok(Recovered {
+                active: SegmentInfo {
+                    seq,
+                    batches: 0,
+                    bytes: 0,
+                    max_batch: 0,
+                },
+                active_file,
+                max_batch,
+                stats,
+                dir_fsyncs,
+            });
+        }
     }
 
     // Collapse: everything replayed is in objects/ now, so restart on
@@ -1522,11 +1541,11 @@ mod tests {
     /// (the migration input).
     fn write_log(dir: &Path, records: &[DiskRecord]) {
         fs::create_dir_all(dir.join("objects")).unwrap();
-        let mut log = File::create(dir.join("log")).unwrap();
-        log.write_all(LOG_MAGIC).unwrap();
+        let mut log = LOG_MAGIC.to_vec();
         for record in records {
-            append_record(&mut log, record).unwrap();
+            frame_record(&mut log, record).unwrap();
         }
+        fs::write(dir.join("log"), log).unwrap();
     }
 
     #[test]
@@ -1707,7 +1726,7 @@ mod tests {
     #[test]
     fn empty_commit_batch_pays_no_fsyncs() {
         // Bugfix: an empty batch used to join a group and pay (or make
-        // a whole group pay) both fsyncs for nothing.
+        // a whole group pay) an fsync for nothing.
         let dir = temp_dir();
         let store = DiskStore::open(&dir).unwrap();
         store.commit_batch(vec![(o(1), bytes(b"real"))]).unwrap();
@@ -1719,6 +1738,20 @@ mod tests {
             before,
             "empty batches must not fsync"
         );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lone_committer_pays_one_log_fsync_per_batch() {
+        let dir = temp_dir();
+        let store = DiskStore::open(&dir).unwrap();
+        for i in 1..=5u64 {
+            let before = store.log_fsync_count();
+            store
+                .commit_batch(vec![(o(i), bytes(b"a")), (o(i + 10), bytes(b"b"))])
+                .unwrap();
+            assert_eq!(store.log_fsync_count(), before + 1, "batch {i}");
+        }
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1744,10 +1777,10 @@ mod tests {
             handle.join().unwrap();
         }
         // Every batch flushed in some group: between 1 group (all
-        // shared) and one group per batch.
+        // shared) and one group per batch, one fsync each.
         let fsyncs = store.log_fsync_count();
         assert!(
-            (2..=2 * THREADS).contains(&fsyncs),
+            (1..=THREADS).contains(&fsyncs),
             "implausible log fsync count {fsyncs}"
         );
         drop(store);
@@ -2053,6 +2086,38 @@ mod tests {
         drop(DiskStore::open(&dir).unwrap());
         let live_after = DiskStore::live_segment_paths(&dir).unwrap();
         assert_eq!(live_before, live_after, "idle reopen churned the manifest");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_first_record_is_not_appended_after() {
+        // A tear inside the only record of the active segment leaves
+        // bytes past the magic but no decodable record. Reusing that
+        // segment would append new frames behind the torn bytes, where
+        // the next replay cannot find them.
+        let dir = temp_dir();
+        {
+            let store = DiskStore::open(&dir).unwrap();
+            store.commit_batch(vec![(o(1), bytes(b"v"))]).unwrap();
+            store.checkpoint_now().unwrap();
+            store
+                .commit_batch_with_crash(
+                    vec![(o(2), bytes(b"lost"))],
+                    DiskCrashPoint::AfterCommitRecord,
+                )
+                .unwrap_err();
+        }
+        let active = DiskStore::live_segment_paths(&dir).unwrap().pop().unwrap();
+        let log = fs::read(&active).unwrap();
+        fs::write(&active, &log[..LOG_MAGIC.len() + 2]).unwrap();
+        {
+            let store = DiskStore::open(&dir).unwrap();
+            assert_eq!(store.read(o(2)).unwrap(), None);
+            store.commit_batch(vec![(o(3), bytes(b"kept"))]).unwrap();
+        }
+        let store = DiskStore::open(&dir).unwrap();
+        assert_eq!(store.read(o(3)).unwrap().as_deref(), Some(&b"kept"[..]));
+        assert_eq!(store.read(o(1)).unwrap().as_deref(), Some(&b"v"[..]));
         fs::remove_dir_all(&dir).ok();
     }
 }

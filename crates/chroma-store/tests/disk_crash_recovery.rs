@@ -174,7 +174,7 @@ proptest! {
             prop_assert!(matches!(err, DiskError::Crashed(p) if p == point));
         }
         let store = DiskStore::open(&dir).unwrap();
-        // The commit point is the marker fsync: every stage at or past
+        // The commit point is the group's one fsync: every stage at or past
         // `AfterCommitRecord` (including the seal and checkpoint
         // stages, which run after the flush) keeps the batch.
         let survives = !matches!(
@@ -423,5 +423,101 @@ fn seed_matrix_group_commit_crash_torture() {
         let report = TraceAuditor::audit_events(&sink.events());
         assert!(report.is_clean(), "round {round} audit failed:\n{report}");
         std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Page size of the power-loss model: a crash during the group's fsync
+/// may persist any subset of the pages it dirtied.
+const PAGE: usize = 4096;
+
+/// Start offsets of every record frame in a CRC-framed segment.
+fn frame_starts(log: &[u8]) -> Vec<usize> {
+    let mut starts = Vec::new();
+    let mut pos = 8; // past the `CHLOG001` magic
+    while pos + 4 <= log.len() {
+        starts.push(pos);
+        let len = u32::from_le_bytes(log[pos..pos + 4].try_into().expect("four bytes")) as usize;
+        pos += 4 + len + 4;
+    }
+    starts
+}
+
+/// Power loss during the group fsync: the commit marker reached the
+/// disk but a page of the group's intents did not and reads back as
+/// zeros. Recovery must either fail loudly with `CorruptLog` or roll
+/// the batch back whole — never install part of it. Covers every
+/// page-aligned range inside the intents plus unaligned ones, so the
+/// hole starts in length prefixes, payloads and checksums alike.
+#[test]
+fn lost_intent_page_never_applies_part_of_a_batch() {
+    for state_len in [1500usize, 3000, 5000] {
+        let batch: Vec<(ObjectId, StoreBytes)> = (1..=BASELINE_OBJECTS)
+            .map(|i| (o(i), bytes(&vec![i as u8; state_len])))
+            .collect();
+        let dir = temp_dir();
+        {
+            let store = DiskStore::open(&dir).unwrap();
+            seed_baseline(&store);
+            // The active segment then holds exactly the damaged group.
+            store.checkpoint_now().unwrap();
+            store
+                .commit_batch_with_crash(batch.clone(), DiskCrashPoint::AfterCommitRecord)
+                .unwrap_err();
+        }
+        let log_path = active_segment(&dir);
+        let log = std::fs::read(&log_path).unwrap();
+        let starts = frame_starts(&log);
+        assert_eq!(
+            starts.len() as u64,
+            BASELINE_OBJECTS + 1,
+            "intents + marker"
+        );
+        let marker = *starts.last().unwrap();
+        let aligned = (PAGE..).step_by(PAGE);
+        let unaligned = (8..).step_by(509);
+        let mut holes: Vec<usize> = aligned
+            .take_while(|&at| at + PAGE <= marker)
+            .chain(unaligned.take_while(|&at| at + PAGE <= marker))
+            .collect();
+        holes.sort_unstable();
+        assert!(!holes.is_empty(), "intents too short for a page hole");
+        for at in holes {
+            let mut damaged = log.clone();
+            damaged[at..at + PAGE].fill(0);
+            std::fs::write(&log_path, &damaged).unwrap();
+            // Each open may rewrite the directory; start every hole
+            // from a copy of the crashed one.
+            let scratch = temp_dir();
+            copy_dir(&dir, &scratch);
+            match DiskStore::open(&scratch) {
+                Err(DiskError::CorruptLog(_)) => {}
+                Err(e) => panic!("hole at {at} (state_len {state_len}): unexpected error {e}"),
+                Ok(store) => {
+                    for i in 1..=BASELINE_OBJECTS {
+                        assert_eq!(
+                            store.read(o(i)).unwrap().as_deref(),
+                            Some(&[i as u8, 0][..]),
+                            "hole at {at} (state_len {state_len}): object {i} not rolled back"
+                        );
+                    }
+                }
+            }
+            std::fs::remove_dir_all(&scratch).ok();
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+/// Recursive directory copy (the store layout is two levels deep).
+fn copy_dir(from: &std::path::Path, to: &std::path::Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        let target = to.join(entry.file_name());
+        if entry.file_type().unwrap().is_dir() {
+            copy_dir(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), &target).unwrap();
+        }
     }
 }
